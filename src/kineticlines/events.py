@@ -3,9 +3,16 @@
 An event is a pair (line, time): at that exact time, at least three scene
 points lie on the line, they do not all coincide, and the member set is
 not collinear at every time. Events are maximal: members are every scene
-point on the line at that time. Enumeration classifies all triples,
-expands each triple root to the maximal member set, filters degeneracies,
-deduplicates on (canonical time, member set), and sorts by exact time.
+point on the line at that time.
+
+Enumeration is one pipeline. Every triple is classified, and each root
+goes into a bucket keyed by its canonical time, so equal times meet in
+one bucket. A bucket evaluates positions and expands member sets over
+only the points of its own triples: every member of an event lies in a
+member triple that is not always collinear, and that triple has a root
+at the event time. Bucket times are sorted by their 64-bit interval
+bounds, with exact comparisons only where intervals overlap, and events
+at one time by their member tuple.
 
 brute_force_events re-derives the same list from scratch for small scenes
 and shares only the exact-number layer with the enumeration path, so the
@@ -110,132 +117,6 @@ class _TripleClassifier:
         return hit
 
 
-@dataclass(frozen=True)
-class _EventShape:
-    anchors: tuple[str, str]
-    contains_subcollision: bool
-
-
-class _EnumerationState:
-    """Per-triple discovery accumulator with a deterministic reduction.
-
-    Triples may be processed in any order or split across several states
-    and merged afterwards; the finalized output is identical either way,
-    because every derived quantity is a pure function of (time, members).
-    """
-
-    def __init__(self, scene: Scene, classifier: Optional[_TripleClassifier] = None):
-        self.scene = scene
-        self.classify = classifier if classifier is not None else _TripleClassifier()
-        self._positions: dict[AlgebraicTime, dict[str, tuple[QuadValue, QuadValue]]] = {}
-        self._members: dict[tuple[AlgebraicTime, str, str], tuple[str, ...]] = {}
-        self._shapes: dict[tuple[AlgebraicTime, tuple[str, ...]], Optional[_EventShape]] = {}
-        self.discoveries: dict[tuple[AlgebraicTime, tuple[str, ...]], bool] = {}
-
-    def positions_at(self, t: AlgebraicTime) -> dict[str, tuple[QuadValue, QuadValue]]:
-        cached = self._positions.get(t)
-        if cached is None:
-            cached = {p.id: position_at(p, t) for p in self.scene.points}
-            self._positions[t] = cached
-        return cached
-
-    def process(self, a: KineticPoint, b: KineticPoint, c: KineticPoint) -> None:
-        cls = self.classify(a, b, c)
-        if cls.kind is not TripleKind.COLLINEAR_AT:
-            return
-        for t in cls.times:
-            positions = self.positions_at(t)
-            anchor = _first_distinct_pair((a.id, b.id, c.id), positions)
-            if anchor is None:
-                # all three coincide here; some triple with two distinct
-                # members on the same line discovers the event instead
-                continue
-            members = self._expand(anchor, t, positions)
-            key = (t, members)
-            if self._shape(key, positions) is None:
-                continue
-            self.discoveries[key] = self.discoveries.get(key, False) or cls.tangential
-
-    def _expand(
-        self,
-        anchor: tuple[str, str],
-        t: AlgebraicTime,
-        positions: dict[str, tuple[QuadValue, QuadValue]],
-    ) -> tuple[str, ...]:
-        memo_key = (t, anchor[0], anchor[1])
-        cached = self._members.get(memo_key)
-        if cached is None:
-            pu = positions[anchor[0]]
-            pv = positions[anchor[1]]
-            cached = tuple(
-                sorted(
-                    pid
-                    for pid, pw in positions.items()
-                    if _orientation(pu, pv, pw).is_zero()
-                )
-            )
-            self._members[memo_key] = cached
-        return cached
-
-    def _shape(
-        self,
-        key: tuple[AlgebraicTime, tuple[str, ...]],
-        positions: dict[str, tuple[QuadValue, QuadValue]],
-    ) -> Optional[_EventShape]:
-        """Anchors and degeneracy flags for a candidate event, or None when
-        the member set is filtered out (all coincident, or collinear at
-        every time). Computed once per (time, members)."""
-        if key in self._shapes:
-            return self._shapes[key]
-        _, members = key
-        member_positions = [positions[m] for m in members]
-        distinct = len(set(member_positions))
-        shape: Optional[_EventShape] = None
-        if distinct > 1:
-            anchors = _first_distinct_pair(members, positions)
-            assert anchors is not None
-            u0 = self.scene.point(anchors[0])
-            v0 = self.scene.point(anchors[1])
-            always = all(
-                self.classify(u0, v0, self.scene.point(w)).kind
-                is TripleKind.ALWAYS_COLLINEAR
-                for w in members
-                if w not in anchors
-            )
-            if not always:
-                shape = _EventShape(anchors, distinct < len(members))
-        self._shapes[key] = shape
-        return shape
-
-    def merge(self, other: "_EnumerationState") -> None:
-        """Fold another state's discoveries in; used to combine partitioned
-        runs. Shared keys carry identical derived data by construction."""
-        self._positions.update(other._positions)
-        self._members.update(other._members)
-        self._shapes.update(other._shapes)
-        for key, tangential in other.discoveries.items():
-            self.discoveries[key] = self.discoveries.get(key, False) or tangential
-
-    def finalize(self, k_min: int) -> list[CollinearityEvent]:
-        events = []
-        for (t, members), tangential in self.discoveries.items():
-            if len(members) < k_min:
-                continue
-            shape = self._shapes[(t, members)]
-            assert shape is not None
-            events.append(
-                CollinearityEvent(
-                    time=t,
-                    members=members,
-                    k=len(members),
-                    anchors=shape.anchors,
-                    tangential=tangential,
-                    contains_subcollision=shape.contains_subcollision,
-                )
-            )
-        return _sorted_events(events)
-
-
 def _orientation(pa, pb, pc) -> QuadValue:
     return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
 
@@ -249,15 +130,114 @@ def _first_distinct_pair(
     return None
 
 
+_Root = tuple[tuple[KineticPoint, KineticPoint, KineticPoint], bool]
+
+
+def _sorted_times(times: Iterable[AlgebraicTime]) -> list[AlgebraicTime]:
+    """Times in exact ascending order.
+
+    Each time is keyed by its 64-bit interval bounds. Times whose
+    intervals are disjoint are ordered by the bounds alone; compare_times
+    runs only inside a run of overlapping intervals.
+    """
+    keyed = sorted(((t._bounds(64), t) for t in times), key=lambda item: item[0])
+    runs: list[list[AlgebraicTime]] = []
+    run_hi = 0
+    for (lo, hi), t in keyed:
+        if runs and lo <= run_hi:
+            runs[-1].append(t)
+            run_hi = max(run_hi, hi)
+        else:
+            runs.append([t])
+            run_hi = hi
+    order = cmp_to_key(compare_times)
+    return [t for run in runs for t in sorted(run, key=order)]
+
+
+def _bucket_events(
+    t: AlgebraicTime, roots: Sequence[_Root], k_min: int
+) -> list[CollinearityEvent]:
+    """The events at time t, ordered by member tuple, from the triples
+    with a root at t."""
+    points = {p.id: p for trio, _ in roots for p in trio}
+    positions = {pid: position_at(p, t) for pid, p in points.items()}
+    tangential_of: dict[tuple[str, ...], bool] = {}
+    line_of: dict[tuple[str, str], tuple[str, ...]] = {}
+    for trio, tangential in roots:
+        anchor = _first_distinct_pair([p.id for p in trio], positions)
+        if anchor is None:
+            # all three coincide here; some triple with two distinct
+            # members on the same line discovers the event instead
+            continue
+        members = line_of.get(anchor)
+        if members is None:
+            if len(roots) == 1:
+                members = tuple(sorted(points))
+            else:
+                pu, pv = positions[anchor[0]], positions[anchor[1]]
+                members = tuple(
+                    sorted(
+                        pid
+                        for pid, pw in positions.items()
+                        if _orientation(pu, pv, pw).is_zero()
+                    )
+                )
+            # any distinct pair of members spans this same line; anchors
+            # are distinct pairs, so a coincident pair is never looked up
+            for pair in combinations(members, 2):
+                line_of[pair] = members
+        tangential_of[members] = tangential_of.get(members, False) or tangential
+    # No filter for coincident or always-collinear member sets: the anchor
+    # pair is distinct, and if every member stayed on the anchors' line at
+    # all times, the discovering triple would be identically collinear.
+    events = []
+    for members in sorted(tangential_of):
+        if len(members) < k_min:
+            continue
+        anchors = _first_distinct_pair(members, positions)
+        events.append(
+            CollinearityEvent(
+                time=t,
+                members=members,
+                k=len(members),
+                anchors=anchors,
+                tangential=tangential_of[members],
+                contains_subcollision=len({positions[m] for m in members}) < len(members),
+            )
+        )
+    return events
+
+
+def _assemble(scene: Scene, k_min: int, classify) -> list[CollinearityEvent]:
+    """Every event with at least k_min members, sorted by time, then by
+    member tuple.
+
+    Bucket: each root of each triple goes into a dict keyed by its
+    canonical time, so equal times share a bucket. Positions: a bucket
+    evaluates and expands over only the points of its own triples. That
+    set holds every member of every event at its time, because each
+    member lies in a member triple that is not always collinear, and
+    that triple has a root there. A bucket of one triple is its own
+    member set. Sort: see _sorted_times.
+    """
+    buckets: dict[AlgebraicTime, list[_Root]] = {}
+    for trio in combinations(scene.points, 3):
+        cls = classify(*trio)
+        # always- and never-collinear triples carry no times
+        for t in cls.times:
+            buckets.setdefault(t, []).append((trio, cls.tangential))
+    events: list[CollinearityEvent] = []
+    for t in _sorted_times(buckets):
+        events += _bucket_events(t, buckets[t], k_min)
+    return events
+
+
 def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     """All collinearity events with at least k_min members, sorted by time
     (ties broken by the member tuple). Deterministic for a given scene."""
     if k_min < 3:
         raise ValueError("k_min must be at least 3")
-    state = _EnumerationState(scene)
-    for a, b, c in combinations(scene.points, 3):
-        state.process(a, b, c)
-    return state.finalize(k_min)
+    return _assemble(scene, k_min, classify_triple)
 
 
 def count_k_collinearities(scene: Scene, k: int) -> int:
@@ -331,10 +311,7 @@ def audit_bounds(scene: Scene, k: int) -> BoundAudit:
     if k < 3:
         raise ValueError("k must be at least 3")
     classifier = _TripleClassifier()
-    state = _EnumerationState(scene, classifier)
-    for a, b, c in combinations(scene.points, 3):
-        state.process(a, b, c)
-    events = state.finalize(3)
+    events = _assemble(scene, 3, classifier)
     n = len(scene)
     count_3 = len(events)
     count_k = sum(1 for e in events if e.k >= k)

@@ -1,6 +1,7 @@
 """Event enumeration, filters, audits, and the independent oracle."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,9 @@ import pytest
 
 from kineticlines import (
     AlgebraicTime,
+    KineticPoint,
+    Scene,
+    SceneError,
     TripleKind,
     always_collinear_groups,
     audit_bounds,
@@ -17,6 +21,7 @@ from kineticlines import (
     compare_times,
     count_k_collinearities,
     enumerate_events,
+    events_to_json,
     evaluate_at_time,
     gen_lower_bound,
     gen_no_collinearity,
@@ -24,7 +29,6 @@ from kineticlines import (
     gen_tight,
     position_at,
 )
-from kineticlines.events import _EnumerationState
 
 from conftest import make_scene, serialized
 
@@ -172,16 +176,14 @@ class TestEnumerateEvents:
         assert payload["members"] == ["a", "b", "c"]
         assert payload["k"] == 3
 
-    def test_partitioned_runs_merge_to_same_output(self):
-        for build in (always_group_scene, tangential_scene):
-            scene = build()
-            whole = enumerate_events(scene)
-            left = _EnumerationState(scene)
-            right = _EnumerationState(scene)
-            for index, trio in enumerate(combinations(scene.points, 3)):
-                (left if index % 2 == 0 else right).process(*trio)
-            left.merge(right)
-            assert serialized(left.finalize(3)) == serialized(whole)
+    def test_point_order_does_not_change_output(self):
+        rng = random.Random(5)
+        for scene in (always_group_scene(), tangential_scene(), gen_lower_bound(9, 3)):
+            whole = events_to_json(enumerate_events(scene))
+            shuffled = list(scene.points)
+            rng.shuffle(shuffled)
+            for points in (scene.points[::-1], shuffled):
+                assert events_to_json(enumerate_events(Scene(points))) == whole
 
     def test_repeat_runs_identical(self):
         scene = gen_random(6, 17)
@@ -310,6 +312,30 @@ class TestBruteForceOracle:
         at_zero = brute_force_events(scene, time_candidates=[0], max_points=16)
         assert len(at_zero) == 16
         assert all(e.time.as_fraction() == 0 and e.k == 4 for e in at_zero)
+
+    def test_degenerate_grid_scenes_agree(self):
+        # coordinates from {-2..2} force collisions at event times, shared
+        # velocities and always-collinear groups crossed by a mover
+        rng = random.Random(2011)
+        grid = range(-2, 3)
+        checked = 0
+        while checked < 60:
+            points = [
+                KineticPoint.make(
+                    f"p{i}",
+                    (rng.choice(grid), rng.choice(grid)),
+                    (rng.choice(grid), rng.choice(grid)),
+                )
+                for i in range(rng.randint(4, 7))
+            ]
+            try:
+                scene = Scene(points)
+            except SceneError:
+                continue
+            assert serialized(enumerate_events(scene)) == serialized(
+                brute_force_events(scene)
+            ), [(p.pos, p.vel) for p in points]
+            checked += 1
 
     def test_quadratic_times_agree(self):
         # events at irrational times must match across both implementations

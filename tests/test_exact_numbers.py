@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,23 @@ class TestAlgebraicTimeCanonicalForm:
             AlgebraicTime(1, 0, 2, 1)  # q=0 requires d=0
         with pytest.raises(ValueError):
             AlgebraicTime(1, 1, 2, -1)  # r must be positive
+
+    @given(rationals(), rationals(), rationals(), rationals().filter(bool), st.integers(2, 12))
+    @settings(max_examples=200)
+    def test_equal_values_share_canonical_key(self, c2, c1, c0, scale, m):
+        # event bucketing and dedup hash AlgebraicTime, so compare_times == 0
+        # must imply equal canonical forms and equal hashes
+        times = [AlgebraicTime.make(0, 1, 12, 1), AlgebraicTime.make(0, 2, 3, 1)]
+        roots = solve_quadratic(c2, c1, c0).roots
+        times += roots
+        times += solve_quadratic(scale * c2, scale * c1, scale * c0).roots
+        for t in roots:
+            # (p*m + q*sqrt(d*m*m)) / (r*m) is t with a square factor in d
+            times.append(AlgebraicTime.make(t.p * m, t.q, t.d * m * m, t.r * m))
+            times.append(AlgebraicTime.from_json(t.to_json()))
+        for x, y in combinations(times, 2):
+            if compare_times(x, y) == 0:
+                assert x == y and hash(x) == hash(y)
 
     def test_json_round_trip(self):
         for t in (AlgebraicTime.from_rational(F(-3, 4)), AlgebraicTime.make(1, 1, 2, 1)):
