@@ -23,7 +23,12 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .constructions import CONSTRUCTION_KINDS, DEFAULT_PRECISION_BITS, ConstructionParams
-from .events import audit_bounds, brute_force_events, enumerate_events
+from .events import (
+    audit_bounds,
+    brute_force_events,
+    count_k_collinearities,
+    enumerate_events,
+)
 from .exact_numbers import rational_str
 from .kinematics import SceneError
 from .render import render_at_events, render_scene
@@ -66,8 +71,7 @@ def _cmd_events(args) -> int:
 
 def _cmd_count(args) -> int:
     scene = load_scene(args.scene)
-    events = enumerate_events(scene, 3)
-    print(sum(1 for e in events if e.k >= args.k))
+    print(count_k_collinearities(scene, args.k))
     return 0
 
 

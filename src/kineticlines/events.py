@@ -14,6 +14,13 @@ at the event time. Bucket times are sorted by their 64-bit interval
 bounds, with exact comparisons only where intervals overlap, and events
 at one time by their member tuple.
 
+Assembly runs on integers. At a bucket time t = (p + q*sqrt(d))/r, each
+point's position is held as four integers (x, x', y, y'), meaning
+((x + x'*sqrt(d))/L, (y + y'*sqrt(d))/L), where L is r times the least
+common multiple of the bucket's homogeneous denominators D. With one L
+for the bucket, coincidence is tuple equality, and the orientation test
+is two integer identities, one for each part of Z[sqrt(d)].
+
 brute_force_events re-derives the same list from scratch for small scenes
 and shares only the exact-number layer with the enumeration path, so the
 two act as independent implementations of one contract.
@@ -40,7 +47,8 @@ from .kinematics import (
     TimeLike,
     TripleKind,
     classify_triple,
-    position_at,
+    # unused here; bench/tracing.py wraps this module attribute
+    position_at,  # noqa: F401
 )
 
 __all__ = [
@@ -117,12 +125,47 @@ class _TripleClassifier:
         return hit
 
 
-def _orientation(pa, pb, pc) -> QuadValue:
-    return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
+_Position = tuple[int, int, int, int]
+
+
+def _positions(
+    points: dict[str, KineticPoint], t: AlgebraicTime
+) -> dict[str, _Position]:
+    """Integer positions (x, x', y, y') of points at t over one shared
+    denominator L = r * lcm(D); see the module docstring."""
+    p, q, r = t.p, t.q, t.r
+    common = math.lcm(*(pt.homogeneous[4] for pt in points.values()))
+    positions = {}
+    for pid, pt in points.items():
+        x, y, vx, vy, den = pt.homogeneous
+        s = common // den
+        positions[pid] = (s * (x * r + vx * p), s * vx * q, s * (y * r + vy * p), s * vy * q)
+    return positions
+
+
+def _on_line(
+    positions: dict[str, _Position], u: str, v: str, d: int
+) -> tuple[str, ...]:
+    """Sorted ids of the points on the line through the distinct positions
+    of u and v: w is on it iff n . w == n . u for the normal n of v - u,
+    with both parts of the Z[sqrt(d)] dot product compared."""
+    ux, ux_, uy, uy_ = positions[u]
+    vx, vx_, vy, vy_ = positions[v]
+    nx, nx_, ny, ny_ = uy - vy, uy_ - vy_, vx - ux, vx_ - ux_
+    rat = nx * ux + ny * uy + d * (nx_ * ux_ + ny_ * uy_)
+    irr = nx * ux_ + nx_ * ux + ny * uy_ + ny_ * uy
+    return tuple(
+        sorted(
+            pid
+            for pid, (wx, wx_, wy, wy_) in positions.items()
+            if nx * wx + ny * wy + d * (nx_ * wx_ + ny_ * wy_) == rat
+            and nx * wx_ + nx_ * wx + ny * wy_ + ny_ * wy == irr
+        )
+    )
 
 
 def _first_distinct_pair(
-    ids: Sequence[str], positions: dict[str, tuple[QuadValue, QuadValue]]
+    ids: Sequence[str], positions: dict[str, _Position]
 ) -> Optional[tuple[str, str]]:
     for u, v in combinations(sorted(ids), 2):
         if positions[u] != positions[v]:
@@ -160,7 +203,7 @@ def _bucket_events(
     """The events at time t, ordered by member tuple, from the triples
     with a root at t."""
     points = {p.id: p for trio, _ in roots for p in trio}
-    positions = {pid: position_at(p, t) for pid, p in points.items()}
+    positions = _positions(points, t)
     tangential_of: dict[tuple[str, ...], bool] = {}
     line_of: dict[tuple[str, str], tuple[str, ...]] = {}
     for trio, tangential in roots:
@@ -174,14 +217,7 @@ def _bucket_events(
             if len(roots) == 1:
                 members = tuple(sorted(points))
             else:
-                pu, pv = positions[anchor[0]], positions[anchor[1]]
-                members = tuple(
-                    sorted(
-                        pid
-                        for pid, pw in positions.items()
-                        if _orientation(pu, pv, pw).is_zero()
-                    )
-                )
+                members = _on_line(positions, *anchor, t.d)
             # any distinct pair of members spans this same line; anchors
             # are distinct pairs, so a coincident pair is never looked up
             for pair in combinations(members, 2):

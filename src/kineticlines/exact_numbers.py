@@ -53,6 +53,11 @@ def _primes_up_to(bound: int) -> tuple[int, ...]:
     return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
+@lru_cache(maxsize=8)
+def _primorial(bound: int) -> int:
+    return math.prod(_primes_up_to(bound))
+
+
 def square_reduce(n: int, trial_bound: int = SQUAREFREE_TRIAL_BOUND) -> tuple[int, int]:
     """Write n > 0 as m*m*d, pulling every found square factor into m.
 
@@ -63,22 +68,33 @@ def square_reduce(n: int, trial_bound: int = SQUAREFREE_TRIAL_BOUND) -> tuple[in
     from primes above the bound stays inside d; the reduction is still a
     deterministic function of n, so equal inputs always map to equal
     (m, d) pairs, which is what canonical forms need.
+
+    The primes up to the bound that divide n are found at once, as the
+    factors of gcd(n, product of those primes). That gcd is squarefree,
+    so once p*p exceeds what is left of it, the rest is 1 or a prime.
     """
     if n <= 0:
         raise ValueError("square_reduce needs a positive integer")
-    m, d, rest = 1, 1, n
+    g = math.gcd(n, _primorial(trial_bound))
+    factors = []
     for p in _primes_up_to(trial_bound):
-        if p * p > rest:
+        if p * p > g:
             break
-        if rest % p == 0:
-            exp = 0
-            while rest % p == 0:
-                rest //= p
-                exp += 1
-            if exp >= 2:
-                m *= p ** (exp // 2)
-            if exp % 2:
-                d *= p
+        if g % p == 0:
+            g //= p
+            factors.append(p)
+    if g > 1:
+        factors.append(g)
+    m, d, rest = 1, 1, n
+    for p in factors:
+        rest //= p
+        exp = 1
+        while rest % p == 0:
+            rest //= p
+            exp += 1
+        m *= p ** (exp // 2)
+        if exp % 2:
+            d *= p
     if rest > 1:
         root = math.isqrt(rest)
         if root * root == rest:
@@ -135,21 +151,32 @@ class AlgebraicTime:
         r: int,
         trial_bound: int = SQUAREFREE_TRIAL_BOUND,
     ) -> "AlgebraicTime":
-        """Canonicalize (p + q*sqrt(d))/r; collapses to a rational when possible."""
+        """Canonicalize (p + q*sqrt(d))/r; collapses to a rational when possible.
+
+        The radicand is reduced from the square of the radical part,
+        q*q*d/(r*r) in lowest terms num/den, as the integer num*den. That
+        square depends on the value alone, so two spellings of one value
+        reduce the same integer and get the same canonical form, even when
+        a square factor escapes the trial division.
+        """
         if r == 0:
             raise ValueError("denominator r must be nonzero")
         if d < 0:
             raise ValueError("radicand must be nonnegative")
         if q == 0 or d == 0:
-            return cls.from_rational(Fraction(p, r))
-        m, dd = square_reduce(d, trial_bound)
-        q = q * m
-        if dd == 1:
-            return cls.from_rational(Fraction(p + q, r))
+            return _rational_time(p, r)
         if r < 0:
             p, q, r = -p, -q, -r
-        g = math.gcd(math.gcd(abs(p), abs(q)), r)
-        return cls(p // g, q // g, dd, r // g)
+        square, rr = q * q * d, r * r
+        g = math.gcd(square, rr)
+        den = rr // g
+        # |q|*sqrt(d)/r == m*sqrt(dd)/den
+        m, dd = square_reduce(square // g * den, trial_bound)
+        if q < 0:
+            m = -m
+        if dd == 1:
+            return _rational_time(p * den + m * r, r * den)
+        return _quadratic_time(p, r, m, den, dd)
 
     @property
     def kind(self) -> str:
@@ -182,7 +209,8 @@ class AlgebraicTime:
     def approx(self) -> float:
         """Float approximation; a display hint, never used for decisions."""
         lo, hi = self._bounds(64)
-        return float(Fraction(lo + hi, 1 << 65))
+        # int / int is correctly rounded
+        return (lo + hi) / (1 << 65)
 
     def __float__(self) -> float:
         return self.approx()
@@ -209,7 +237,8 @@ class AlgebraicTime:
 
     def to_json(self) -> dict:
         if self.q == 0:
-            return {"kind": "rational", "value": rational_str(Fraction(self.p, self.r))}
+            # canonical p/r is already in lowest terms with r > 0
+            return {"kind": "rational", "value": f"{self.p}/{self.r}"}
         return {
             "kind": "quadratic",
             "p": str(self.p),
@@ -238,11 +267,12 @@ def _equal_symbolically(x: AlgebraicTime, y: AlgebraicTime) -> bool:
 
     Sound for any radicands the canonical form admits: stored d values are
     never perfect squares, so a nonzero rational-plus-radical combination
-    can only equal a pure radical when the rational offset vanishes.
+    can only equal a pure radical when the rational offset vanishes. Both
+    sides are scaled by x.r * y.r > 0, so the test runs on integers.
     """
-    a = Fraction(x.p, x.r) - Fraction(y.p, y.r)
-    b = Fraction(x.q, x.r)
-    c = Fraction(y.q, y.r)
+    a = x.p * y.r - y.p * x.r
+    b = x.q * y.r
+    c = y.q * x.r
     if b == 0 and c == 0:
         return a == 0
     if b == 0:
@@ -267,7 +297,7 @@ def compare_times(x: AlgebraicTime, y: AlgebraicTime) -> int:
     which terminates because unequal reals eventually separate.
     """
     if x.q == 0 and y.q == 0:
-        return _sign(Fraction(x.p, x.r) - Fraction(y.p, y.r))
+        return _sign(x.p * y.r - y.p * x.r)
     if x == y or _equal_symbolically(x, y):
         return 0
     bits = _INTERVAL_START_BITS
@@ -407,6 +437,76 @@ class QuadraticRootReport:
     double_root: bool
 
 
+def _rational_time(num: int, den: int) -> AlgebraicTime:
+    """Canonical num/den for integers with den != 0."""
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    return AlgebraicTime(num // g, 0, 0, den // g)
+
+
+def _quadratic_time(a_num: int, a_den: int, b_num: int, b_den: int, d: int) -> AlgebraicTime:
+    """Canonical (p + q*sqrt(d))/r for a_num/a_den + (b_num/b_den)*sqrt(d).
+
+    Denominators are positive and d is already reduced; the fractions need
+    not be in lowest terms, since the common factor is divided out at the
+    end.
+    """
+    r = math.lcm(a_den, b_den)
+    p = a_num * (r // a_den)
+    q = b_num * (r // b_den)
+    g = math.gcd(p, q, r)
+    return AlgebraicTime(p // g, q // g, d, r // g)
+
+
+_NO_ROOTS = QuadraticRootReport((), False, False)
+_IDENTICALLY_ZERO = QuadraticRootReport((), True, False)
+
+
+def integer_roots(
+    c2: int, c1: int, c0: int, trial_bound: int = SQUAREFREE_TRIAL_BOUND
+) -> QuadraticRootReport:
+    """Exact real roots of c2*t^2 + c1*t + c0 for integer coefficients,
+    ascending, each reported once.
+
+    Rational-versus-irrational status of the roots is decided exactly: the
+    monic discriminant is a perfect square iff the roots are rational, and
+    perfect squares are always detected. For irrational roots the radicand
+    is reduced from the monic discriminant alone, as num*den of
+    (c1*c1 - 4*c2*c0)/c2**2 in lowest terms, so proportional polynomials
+    (and hence any polynomials sharing a root pair) produce identical
+    canonical forms.
+    """
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return _NO_ROOTS
+    if c2 == 0:
+        if c1 == 0:
+            return _IDENTICALLY_ZERO if c0 == 0 else _NO_ROOTS
+        return QuadraticRootReport((_rational_time(-c0, c1),), False, False)
+    if disc == 0:
+        return QuadraticRootReport((_rational_time(-c1, 2 * c2),), False, True)
+    square = c2 * c2
+    g = math.gcd(disc, square)
+    den = square // g
+    m, d = square_reduce(disc // g * den, trial_bound)
+    # roots: -c1/(2*c2) -+ m*sqrt(d)/(2*den)
+    if d == 1:
+        lo = _rational_time(-c1 * den - m * c2, 2 * c2 * den)
+        hi = _rational_time(-c1 * den + m * c2, 2 * c2 * den)
+        return QuadraticRootReport((lo, hi), False, False)
+    if c2 < 0:
+        c1, c2 = -c1, -c2
+    return QuadraticRootReport(
+        (
+            _quadratic_time(-c1, 2 * c2, -m, 2 * den, d),
+            _quadratic_time(-c1, 2 * c2, m, 2 * den, d),
+        ),
+        False,
+        False,
+    )
+
+
 def solve_quadratic(
     c2: RationalLike,
     c1: RationalLike,
@@ -415,52 +515,17 @@ def solve_quadratic(
 ) -> QuadraticRootReport:
     """Exact real roots of c2*t^2 + c1*t + c0, ascending, each reported once.
 
-    Rational-versus-irrational status of the roots is decided exactly: the
-    monic discriminant is a perfect square iff the roots are rational, and
-    perfect squares are always detected. For irrational roots the radicand
-    is derived from the monic discriminant alone, so proportional
-    polynomials (and hence any polynomials sharing a root pair) produce
-    identical canonical forms.
+    The coefficients are scaled by their positive common denominator,
+    which leaves the roots alone, and passed to integer_roots.
     """
     c2, c1, c0 = Fraction(c2), Fraction(c1), Fraction(c0)
-    if c2 == 0:
-        if c1 == 0:
-            return QuadraticRootReport((), c0 == 0, False)
-        return QuadraticRootReport((AlgebraicTime.from_rational(-c0 / c1),), False, False)
-    beta = c1 / c2
-    gamma = c0 / c2
-    delta = beta * beta - 4 * gamma
-    center = -beta / 2
-    if delta < 0:
-        return QuadraticRootReport((), False, False)
-    if delta == 0:
-        return QuadraticRootReport((AlgebraicTime.from_rational(center),), False, True)
-    m, d = square_reduce(delta.numerator * delta.denominator, trial_bound)
-    if d == 1:
-        offset = Fraction(m, 2 * delta.denominator)
-        return QuadraticRootReport(
-            (
-                AlgebraicTime.from_rational(center - offset),
-                AlgebraicTime.from_rational(center + offset),
-            ),
-            False,
-            False,
-        )
-    offset = Fraction(m, 2 * delta.denominator)
-    return QuadraticRootReport(
-        (_combine_parts(center, -offset, d), _combine_parts(center, offset, d)),
-        False,
-        False,
+    scale = math.lcm(c2.denominator, c1.denominator, c0.denominator)
+    return integer_roots(
+        c2.numerator * (scale // c2.denominator),
+        c1.numerator * (scale // c1.denominator),
+        c0.numerator * (scale // c0.denominator),
+        trial_bound,
     )
-
-
-def _combine_parts(a: Fraction, b: Fraction, d: int) -> AlgebraicTime:
-    """Assemble canonical (p + q*sqrt(d))/r from a + b*sqrt(d); d pre-reduced."""
-    r = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    p = a.numerator * (r // a.denominator)
-    q = b.numerator * (r // b.denominator)
-    g = math.gcd(math.gcd(abs(p), abs(q)), r)
-    return AlgebraicTime(p // g, q // g, d, r // g)
 
 
 def evaluate_at_time(

@@ -4,20 +4,31 @@ A kinetic point occupies pos + t * vel at time t. The determinant
 det[[x_a(t), y_a(t), 1], [x_b(t), y_b(t), 1], [x_c(t), y_c(t), 1]]
 is a polynomial in t of degree at most two; its real roots are the only
 moments the triple can be collinear.
+
+Classification runs on integers. Each point carries a homogeneous form
+(X, Y, VX, VY, D): pos = (X, Y)/D and vel = (VX, VY)/D, with D the least
+common denominator of its four coordinates, computed once per point. The
+triple determinant expanded over these integers is D_a*D_b*D_c**2 times
+the rational one, a positive multiple, so its roots and signs are the
+same, and integer_roots finds them without building a Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from .exact_numbers import (
     AlgebraicTime,
     QuadValue,
     RationalLike,
-    solve_quadratic,
+    integer_roots,
+    # unused here; bench/tracing.py wraps this module attribute
+    solve_quadratic,  # noqa: F401
 )
 
 Coord = tuple[Fraction, Fraction]
@@ -41,6 +52,15 @@ class KineticPoint:
         px, py = pos
         vx, vy = vel
         return cls(str(pid), (Fraction(px), Fraction(py)), (Fraction(vx), Fraction(vy)))
+
+    @cached_property
+    def homogeneous(self) -> tuple[int, int, int, int, int]:
+        """Integers (X, Y, VX, VY, D) with pos = (X, Y)/D, vel = (VX, VY)/D
+        and D > 0 the least common denominator of the four coordinates."""
+        coords = (*self.pos, *self.vel)
+        den = math.lcm(*(c.denominator for c in coords))
+        x, y, vx, vy = (c.numerator * (den // c.denominator) for c in coords)
+        return (x, y, vx, vy, den)
 
 
 @dataclass
@@ -95,22 +115,36 @@ def position_at_rational(point: KineticPoint, t: RationalLike) -> Coord:
     return (point.pos[0] + t * point.vel[0], point.pos[1] + t * point.vel[1])
 
 
-def collinearity_polynomial(
+def integer_collinearity_polynomial(
     a: KineticPoint, b: KineticPoint, c: KineticPoint
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (c2, c1, c0) of the triple's collinearity determinant.
+) -> tuple[int, int, int]:
+    """Integer (c2, c1, c0): D_a*D_b*D_c**2 times collinearity_polynomial.
 
     The determinant is expanded as the cross product of the linear-in-t
     difference vectors (a - c) and (b - c), so the degree never exceeds 2.
+    Over the homogeneous forms, a - c has denominator D_a*D_c and b - c
+    has D_b*D_c.
     """
-    ux0, ux1 = a.pos[0] - c.pos[0], a.vel[0] - c.vel[0]
-    uy0, uy1 = a.pos[1] - c.pos[1], a.vel[1] - c.vel[1]
-    vx0, vx1 = b.pos[0] - c.pos[0], b.vel[0] - c.vel[0]
-    vy0, vy1 = b.pos[1] - c.pos[1], b.vel[1] - c.vel[1]
+    ax, ay, avx, avy, ad = a.homogeneous
+    bx, by, bvx, bvy, bd = b.homogeneous
+    cx, cy, cvx, cvy, cd = c.homogeneous
+    ux0, ux1 = ax * cd - cx * ad, avx * cd - cvx * ad
+    uy0, uy1 = ay * cd - cy * ad, avy * cd - cvy * ad
+    vx0, vx1 = bx * cd - cx * bd, bvx * cd - cvx * bd
+    vy0, vy1 = by * cd - cy * bd, bvy * cd - cvy * bd
     c0 = ux0 * vy0 - uy0 * vx0
     c1 = ux0 * vy1 + ux1 * vy0 - uy0 * vx1 - uy1 * vx0
     c2 = ux1 * vy1 - uy1 * vx1
     return (c2, c1, c0)
+
+
+def collinearity_polynomial(
+    a: KineticPoint, b: KineticPoint, c: KineticPoint
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Coefficients (c2, c1, c0) of the triple's collinearity determinant."""
+    scale = a.homogeneous[4] * b.homogeneous[4] * c.homogeneous[4] ** 2
+    c2, c1, c0 = integer_collinearity_polynomial(a, b, c)
+    return (Fraction(c2, scale), Fraction(c1, scale), Fraction(c0, scale))
 
 
 class TripleKind(Enum):
@@ -135,19 +169,24 @@ class TripleClassification:
     coincident_all: bool
 
 
+_NEVER_COLLINEAR = TripleClassification(TripleKind.NEVER_COLLINEAR, (), False, False)
+
+
 def classify_triple(
     a: KineticPoint, b: KineticPoint, c: KineticPoint
 ) -> TripleClassification:
     """Classify a triple as always, sometimes, or never collinear."""
-    report = solve_quadratic(*collinearity_polynomial(a, b, c))
-    coincident = a.pos == b.pos == c.pos and a.vel == b.vel == c.vel
-    if report.identically_zero:
-        return TripleClassification(TripleKind.ALWAYS_COLLINEAR, (), False, coincident)
+    report = integer_roots(*integer_collinearity_polynomial(a, b, c))
+    # three identical motions make the determinant vanish identically, so
+    # only an always-collinear triple can be coincident
     if report.roots:
         return TripleClassification(
-            TripleKind.COLLINEAR_AT, report.roots, report.double_root, coincident
+            TripleKind.COLLINEAR_AT, report.roots, report.double_root, False
         )
-    return TripleClassification(TripleKind.NEVER_COLLINEAR, (), False, coincident)
+    if report.identically_zero:
+        coincident = a.homogeneous == b.homogeneous == c.homogeneous
+        return TripleClassification(TripleKind.ALWAYS_COLLINEAR, (), False, coincident)
+    return _NEVER_COLLINEAR
 
 
 def collision_time(a: KineticPoint, b: KineticPoint) -> Optional[Fraction]:

@@ -87,6 +87,13 @@ class TestCount:
         assert main(["count", str(path), "--k", "4"]) == 0
         assert capsys.readouterr().out == "0\n"
 
+    def test_k_below_three_is_usage_error(self, tmp_path, capsys):
+        path = write_crossing_scene(tmp_path)
+        assert main(["count", str(path), "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k must be at least 3" in captured.err
+
 
 class TestPairSurface:
     def test_payload(self, tmp_path, capsys):

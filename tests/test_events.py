@@ -9,6 +9,7 @@ import pytest
 
 from kineticlines import (
     AlgebraicTime,
+    CollinearityEvent,
     KineticPoint,
     Scene,
     SceneError,
@@ -293,6 +294,25 @@ class TestAuditBounds:
         assert {"event_count", "event_count_3", "triple_incidences"} <= set(payload)
 
 
+def assert_grid_scenes_agree(rng, count, coord):
+    """enumerate_events matches the oracle on count valid scenes of 4 to 7
+    points, each coordinate drawn by coord()."""
+    checked = 0
+    while checked < count:
+        points = [
+            KineticPoint.make(f"p{i}", (coord(), coord()), (coord(), coord()))
+            for i in range(rng.randint(4, 7))
+        ]
+        try:
+            scene = Scene(points)
+        except SceneError:
+            continue
+        assert serialized(enumerate_events(scene)) == serialized(
+            brute_force_events(scene)
+        ), [(p.pos, p.vel) for p in points]
+        checked += 1
+
+
 class TestBruteForceOracle:
     def test_cap_enforced(self):
         scene = gen_random(9, 1)
@@ -318,24 +338,17 @@ class TestBruteForceOracle:
         # velocities and always-collinear groups crossed by a mover
         rng = random.Random(2011)
         grid = range(-2, 3)
-        checked = 0
-        while checked < 60:
-            points = [
-                KineticPoint.make(
-                    f"p{i}",
-                    (rng.choice(grid), rng.choice(grid)),
-                    (rng.choice(grid), rng.choice(grid)),
-                )
-                for i in range(rng.randint(4, 7))
-            ]
-            try:
-                scene = Scene(points)
-            except SceneError:
-                continue
-            assert serialized(enumerate_events(scene)) == serialized(
-                brute_force_events(scene)
-            ), [(p.pos, p.vel) for p in points]
-            checked += 1
+        assert_grid_scenes_agree(rng, 60, lambda: rng.choice(grid))
+
+    def test_mixed_denominator_grid_scenes_agree(self):
+        # coordinates from {-2..2}/{1,2,3}: the points of one time bucket
+        # have different homogeneous denominators, so their positions meet
+        # only over the bucket's common denominator
+        rng = random.Random(2012)
+        grid = range(-2, 3)
+        assert_grid_scenes_agree(
+            rng, 30, lambda: Fraction(rng.choice(grid), rng.choice((1, 2, 3)))
+        )
 
     def test_quadratic_times_agree(self):
         # events at irrational times must match across both implementations
@@ -348,3 +361,95 @@ class TestBruteForceOracle:
         assert serialized(brute_force_events(scene)) == serialized(
             enumerate_events(scene)
         )
+
+
+def moved(scene, pos_of, vel_of, id_of=lambda pid: pid):
+    """The scene with every point's motion and id mapped."""
+    return Scene(
+        tuple(KineticPoint.make(id_of(p.id), pos_of(p), vel_of(p)) for p in scene.points)
+    )
+
+
+METAMORPHIC_SCENES = {
+    "random20-1": lambda: gen_random(20, 1),
+    "random20-2": lambda: gen_random(20, 2),
+    "tight8": lambda: gen_tight(8),
+    "lower_bound16-4": lambda: gen_lower_bound(16, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METAMORPHIC_SCENES))
+class TestMetamorphic:
+    """Maps of the scene whose effect on the event listing is known exactly,
+    checked at sizes beyond the oracle's cap."""
+
+    def test_uniform_scaling_keeps_listing(self, name):
+        scene = METAMORPHIC_SCENES[name]()
+        c = F(7, 3)
+        scaled = moved(
+            scene,
+            lambda p: (c * p.pos[0], c * p.pos[1]),
+            lambda p: (c * p.vel[0], c * p.vel[1]),
+        )
+        assert events_to_json(enumerate_events(scaled)) == events_to_json(
+            enumerate_events(scene)
+        )
+
+    def test_velocity_boost_keeps_listing(self, name):
+        scene = METAMORPHIC_SCENES[name]()
+        wx, wy = F(5, 11), F(-2)
+        boosted = moved(
+            scene, lambda p: p.pos, lambda p: (p.vel[0] + wx, p.vel[1] + wy)
+        )
+        assert events_to_json(enumerate_events(boosted)) == events_to_json(
+            enumerate_events(scene)
+        )
+
+    def test_time_shift_moves_times(self, name):
+        scene = METAMORPHIC_SCENES[name]()
+        tau = F(-5, 7)
+        shifted = moved(
+            scene,
+            lambda p: (p.pos[0] + tau * p.vel[0], p.pos[1] + tau * p.vel[1]),
+            lambda p: p.vel,
+        )
+        a, b = tau.numerator, tau.denominator
+        expected = [
+            CollinearityEvent(
+                time=AlgebraicTime.make(
+                    e.time.p * b - a * e.time.r, e.time.q * b, e.time.d, e.time.r * b
+                ),
+                members=e.members,
+                k=e.k,
+                anchors=e.anchors,
+                tangential=e.tangential,
+                contains_subcollision=e.contains_subcollision,
+            )
+            for e in enumerate_events(scene)
+        ]
+        assert enumerate_events(shifted) == expected
+
+    def test_relabelling_permutes_members(self, name):
+        scene = METAMORPHIC_SCENES[name]()
+        ids = [p.id for p in scene.points]
+        shuffled = ids[:]
+        random.Random(name).shuffle(shuffled)
+        new_id = dict(zip(ids, ("x" + pid for pid in shuffled)))
+        relabelled = moved(scene, lambda p: p.pos, lambda p: p.vel, new_id.__getitem__)
+        events = enumerate_events(scene)
+        rank = {}
+        for e in events:
+            rank.setdefault(e.time, len(rank))
+        expected = sorted(
+            (
+                (e.time, tuple(sorted(new_id[m] for m in e.members)), e.tangential,
+                 e.contains_subcollision)
+                for e in events
+            ),
+            key=lambda item: (rank[item[0]], item[1]),
+        )
+        got = enumerate_events(relabelled)
+        assert [
+            (e.time, e.members, e.tangential, e.contains_subcollision) for e in got
+        ] == expected
+        assert all(set(e.anchors) <= set(e.members) for e in got)

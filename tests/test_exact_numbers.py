@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kineticlines.exact_numbers import (
+    SQUAREFREE_TRIAL_BOUND,
     AlgebraicTime,
     QuadValue,
     compare_times,
@@ -40,7 +41,36 @@ class TestRationalStrings:
             parse_rational("sqrt(2)")
 
 
+def trial_division_reduce(n: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> tuple[int, int]:
+    """Reference square_reduce: divide by every prime up to the bound in turn."""
+    m, d, rest = 1, 1, n
+    for p in range(2, bound + 1):
+        if p * p > rest:
+            break
+        exp = 0
+        while rest % p == 0:
+            rest //= p
+            exp += 1
+        m *= p ** (exp // 2)
+        if exp % 2:
+            d *= p
+    if rest > 1:
+        root = math.isqrt(rest)
+        if root * root == rest:
+            m *= root
+        else:
+            d *= rest
+    return m, d
+
+
 class TestSquareReduce:
+    @given(
+        st.integers(min_value=1, max_value=2**200),
+        st.sampled_from([1, 4, 9973**2, 9973 * 10007, 10007**2, 9967 * 9973**3]),
+    )
+    def test_matches_plain_trial_division(self, n, factor):
+        assert square_reduce(n * factor) == trial_division_reduce(n * factor)
+
     @given(st.integers(min_value=1, max_value=10**6))
     def test_product_identity(self, n):
         m, d = square_reduce(n)
@@ -94,6 +124,13 @@ class TestAlgebraicTimeCanonicalForm:
         # event bucketing and dedup hash AlgebraicTime, so compare_times == 0
         # must imply equal canonical forms and equal hashes
         times = [AlgebraicTime.make(0, 1, 12, 1), AlgebraicTime.make(0, 2, 3, 1)]
+        # 10007 is a prime above the trial bound, so 10007**2 is a square
+        # factor that the reduction cannot split off
+        big_square = AlgebraicTime.make(0, 1, 3 * 10007**2 * 10009, 1)
+        split = AlgebraicTime.make(0, 10007, 30027, 1)
+        assert compare_times(big_square, split) == 0
+        assert big_square == split and hash(big_square) == hash(split)
+        times += [big_square, split]
         roots = solve_quadratic(c2, c1, c0).roots
         times += roots
         times += solve_quadratic(scale * c2, scale * c1, scale * c0).roots
