@@ -8,7 +8,6 @@ quadratic number fields and are compared symbolically, never by float.
 
 from .exact_numbers import (
     AlgebraicTime,
-    QuadValue,
     QuadraticRootReport,
     compare_times,
     evaluate_at_time,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraicTime",
-    "QuadValue",
     "QuadraticRootReport",
     "compare_times",
     "evaluate_at_time",

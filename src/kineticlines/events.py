@@ -37,7 +37,6 @@ from typing import Iterable, Optional, Sequence
 
 from .exact_numbers import (
     AlgebraicTime,
-    QuadValue,
     compare_times,
     solve_quadratic,
 )
@@ -404,12 +403,11 @@ def _bf_poly(
     return (c2, c1, f_zero)
 
 
-def _bf_position(p: KineticPoint, t: AlgebraicTime) -> tuple[QuadValue, QuadValue]:
-    tv = QuadValue.of_time(t)
-    return (tv * p.vel[0] + p.pos[0], tv * p.vel[1] + p.pos[1])
+def _bf_position(p: KineticPoint, t: AlgebraicTime) -> tuple[AlgebraicTime, AlgebraicTime]:
+    return (t * p.vel[0] + p.pos[0], t * p.vel[1] + p.pos[1])
 
 
-def _bf_orientation(pa, pb, pc) -> QuadValue:
+def _bf_orientation(pa, pb, pc) -> AlgebraicTime:
     return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
 
 

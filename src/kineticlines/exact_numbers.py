@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -24,6 +24,15 @@ SQUAREFREE_TRIAL_BOUND = 10_000
 _INTERVAL_START_BITS = 64
 _INTERVAL_BIT_CEILING = 1 << 20
 
+# Most decimal digits parse_rational allows in the numerator or the
+# denominator of a scene coordinate. A root's radicand comes from the
+# discriminant of a triple polynomial times its squared leading
+# coefficient, at most 64*L + 5 digits for L-digit coordinates, so at this
+# limit every event time stays under Python's 4300-digit int-to-str limit
+# and serialises.
+RATIONAL_DIGIT_LIMIT = 64
+_DIGIT_CEILING = 10**RATIONAL_DIGIT_LIMIT
+
 
 def rational_str(value: RationalLike) -> str:
     """Canonical "num/den" form with positive denominator, e.g. "-3/4", "7/1"."""
@@ -32,19 +41,46 @@ def rational_str(value: RationalLike) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a "num/den" string (plain integers and decimals also accepted)."""
+    """Parse a "num/den" string (plain integers and decimals also accepted).
+
+    Raises OverflowError when the numerator or the denominator in lowest
+    terms has more than RATIONAL_DIGIT_LIMIT digits. The literal is
+    bounded first: one whose exponent exceeds the limit, or that holds more
+    than twice the limit in digits, is refused before any integer is built.
+    """
+    literal = str(text).strip()
+    mantissa, _, exponent = literal.lower().partition("e")
+    exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    too_long = sum(c.isdigit() for c in mantissa) > 2 * RATIONAL_DIGIT_LIMIT
+    # an exponent with more digits than the limit itself is above it
+    too_far = exponent.isdecimal() and (
+        len(exponent) > len(str(RATIONAL_DIGIT_LIMIT)) or int(exponent) > RATIONAL_DIGIT_LIMIT
+    )
+    if too_long or too_far:
+        raise _over_digit_limit()
     try:
-        return Fraction(str(text).strip())
+        value = Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {text!r}") from exc
+    if abs(value.numerator) >= _DIGIT_CEILING or value.denominator >= _DIGIT_CEILING:
+        raise _over_digit_limit()
+    return value
+
+
+def _over_digit_limit() -> OverflowError:
+    return OverflowError(
+        f"rational literal over the limit of {RATIONAL_DIGIT_LIMIT} digits"
+        " per numerator and denominator"
+    )
 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-@lru_cache(maxsize=8)
-def _primes_up_to(bound: int) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def _primes_up_to() -> tuple[int, ...]:
+    bound = SQUAREFREE_TRIAL_BOUND
     sieve = bytearray([1]) * (bound + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(bound) + 1):
@@ -53,21 +89,22 @@ def _primes_up_to(bound: int) -> tuple[int, ...]:
     return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
-@lru_cache(maxsize=8)
-def _primorial(bound: int) -> int:
-    return math.prod(_primes_up_to(bound))
+@lru_cache(maxsize=None)
+def _primorial() -> int:
+    return math.prod(_primes_up_to())
 
 
-def square_reduce(n: int, trial_bound: int = SQUAREFREE_TRIAL_BOUND) -> tuple[int, int]:
+def square_reduce(n: int) -> tuple[int, int]:
     """Write n > 0 as m*m*d, pulling every found square factor into m.
 
-    Trial division covers primes up to trial_bound, then the remaining
-    cofactor is tested for being a perfect square. The result is certified
-    squarefree when the cofactor ends up 1, prime, or a product of at most
-    two distinct primes above the bound. A square factor built entirely
-    from primes above the bound stays inside d; the reduction is still a
-    deterministic function of n, so equal inputs always map to equal
-    (m, d) pairs, which is what canonical forms need.
+    Trial division covers primes up to SQUAREFREE_TRIAL_BOUND, then the
+    remaining cofactor is tested for being a perfect square. The result is
+    certified squarefree when the cofactor ends up 1, prime, or a product
+    of at most two distinct primes above the bound. A square factor built
+    entirely from primes above the bound stays inside d; the reduction is
+    still a deterministic function of n, so equal inputs always map to
+    equal (m, d) pairs, which is what canonical forms need. The bound is
+    fixed, so every caller reduces one integer the same way.
 
     The primes up to the bound that divide n are found at once, as the
     factors of gcd(n, product of those primes). That gcd is squarefree,
@@ -75,9 +112,9 @@ def square_reduce(n: int, trial_bound: int = SQUAREFREE_TRIAL_BOUND) -> tuple[in
     """
     if n <= 0:
         raise ValueError("square_reduce needs a positive integer")
-    g = math.gcd(n, _primorial(trial_bound))
+    g = math.gcd(n, _primorial())
     factors = []
-    for p in _primes_up_to(trial_bound):
+    for p in _primes_up_to():
         if p * p > g:
             break
         if g % p == 0:
@@ -114,6 +151,16 @@ class AlgebraicTime:
     built through `make`, `from_rational`, or `solve_quadratic` compare
     equal exactly when they are the same real number, because the
     reduction path is a function of the value itself.
+
+    +, -, * work inside one quadratic field, with int and Fraction
+    operands taken as rationals; operands with two different radicands
+    raise ValueError. A result is divided by gcd(p, q, r) and collapses to
+    the rational form when q vanishes, but its radicand is the operands'
+    own, never reduced again. The library relies on three facts:
+    - arithmetic keeps its operands' radicand, so == is exact between
+      values of one radicand, for example all positions at one event time;
+    - between other spellings of a value, equality is compare_times;
+    - arithmetic results are never used as bucket keys.
     """
 
     p: int
@@ -143,14 +190,7 @@ class AlgebraicTime:
         return cls(f.numerator, 0, 0, f.denominator)
 
     @classmethod
-    def make(
-        cls,
-        p: int,
-        q: int,
-        d: int,
-        r: int,
-        trial_bound: int = SQUAREFREE_TRIAL_BOUND,
-    ) -> "AlgebraicTime":
+    def make(cls, p: int, q: int, d: int, r: int) -> "AlgebraicTime":
         """Canonicalize (p + q*sqrt(d))/r; collapses to a rational when possible.
 
         The radicand is reduced from the square of the radical part,
@@ -171,7 +211,7 @@ class AlgebraicTime:
         g = math.gcd(square, rr)
         den = rr // g
         # |q|*sqrt(d)/r == m*sqrt(dd)/den
-        m, dd = square_reduce(square // g * den, trial_bound)
+        m, dd = square_reduce(square // g * den)
         if q < 0:
             m = -m
         if dd == 1:
@@ -190,6 +230,66 @@ class AlgebraicTime:
         if self.q != 0:
             raise ValueError(f"{self} is not rational")
         return Fraction(self.p, self.r)
+
+    def sign(self) -> int:
+        """Exact sign: r > 0 and d is never a perfect square, so p + q*sqrt(d)
+        vanishes only when p == q == 0, and otherwise p*p != q*q*d."""
+        sp, sq = _sign(self.p), _sign(self.q)
+        if sp * sq >= 0:
+            return sp or sq
+        return sp if self.p * self.p > self.q * self.q * self.d else sq
+
+    def is_zero(self) -> bool:
+        return self.q == 0 and self.p == 0
+
+    def _operand(self, other) -> Optional[AlgebraicTime]:
+        """other as a value of self's field; None for types it does not take."""
+        if isinstance(other, (int, Fraction)):
+            return AlgebraicTime.from_rational(other)
+        if not isinstance(other, AlgebraicTime):
+            return None
+        if self.q != 0 and other.q != 0 and self.d != other.d:
+            raise ValueError(f"mixed quadratic fields: sqrt({self.d}) vs sqrt({other.d})")
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return _field_value(
+            self.p * other.r + other.p * self.r,
+            self.q * other.r + other.q * self.r,
+            self.d or other.d,
+            self.r * other.r,
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "AlgebraicTime":
+        return AlgebraicTime(-self.p, -self.q, self.d, self.r)
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + -other
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __mul__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        d = self.d or other.d
+        return _field_value(
+            self.p * other.p + self.q * other.q * d,
+            self.p * other.q + self.q * other.p,
+            d,
+            self.r * other.r,
+        )
+
+    __rmul__ = __mul__
 
     def _bounds(self, bits: int) -> tuple[int, int]:
         """Integer lo, hi with lo <= value * 2**bits <= hi."""
@@ -253,7 +353,10 @@ class AlgebraicTime:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError("time value must be an object with a 'kind' field")
         if obj["kind"] == "rational":
-            return cls.from_rational(parse_rational(obj["value"]))
+            # "num/den" as to_json writes it; event times run far longer
+            # than the scene literals parse_rational takes
+            num, _, den = str(obj["value"]).partition("/")
+            return cls.make(int(num), 0, 0, int(den or 1))
         if obj["kind"] == "quadratic":
             try:
                 return cls.make(int(obj["p"]), int(obj["q"]), int(obj["d"]), int(obj["r"]))
@@ -312,122 +415,6 @@ def compare_times(x: AlgebraicTime, y: AlgebraicTime) -> int:
     raise RuntimeError(f"interval refinement failed to separate {x} and {y}")
 
 
-def _radical_sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of a + b*sqrt(d) for a nonsquare d >= 2 (or b == 0)."""
-    if b == 0:
-        return _sign(a)
-    sa, sb = _sign(a), _sign(b)
-    if sa == 0 or sa == sb:
-        return sb if sa == 0 else sa
-    lhs = a * a
-    rhs = b * b * d
-    if lhs == rhs:
-        return 0
-    return sa if lhs > rhs else sb
-
-
-@dataclass(frozen=True)
-class QuadValue:
-    """Exact value a + b*sqrt(d); rational values carry b == 0 and d == 0.
-
-    Arithmetic stays inside one quadratic field: operands must share the
-    radicand or be rational. Zero tests and signs are exact because the
-    stored radicand is never a perfect square.
-    """
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    def __post_init__(self):
-        if self.b == 0:
-            if self.d != 0:
-                object.__setattr__(self, "d", 0)
-        elif self.d < 2:
-            raise ValueError("nonzero radical part needs a radicand of at least 2")
-
-    @classmethod
-    def rational(cls, value: RationalLike) -> "QuadValue":
-        return cls(Fraction(value), Fraction(0), 0)
-
-    @classmethod
-    def of_time(cls, t: AlgebraicTime) -> "QuadValue":
-        return cls(Fraction(t.p, t.r), Fraction(t.q, t.r), t.d)
-
-    def _coerced(self, other):
-        if isinstance(other, QuadValue):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadValue.rational(other)
-        return None
-
-    def _shared_radicand(self, other: "QuadValue") -> int:
-        if self.d == 0:
-            return other.d
-        if other.d in (0, self.d):
-            return self.d
-        raise ValueError(f"mixed quadratic fields: sqrt({self.d}) vs sqrt({other.d})")
-
-    def __add__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return QuadValue(self.a + other.a, self.b + other.b, self._shared_radicand(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return QuadValue(self.a - other.a, self.b - other.b, self._shared_radicand(other))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return QuadValue(-self.a, -self.b, self.d)
-
-    def __mul__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        d = self._shared_radicand(other)
-        return QuadValue(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
-
-    __rmul__ = __mul__
-
-    def sign(self) -> int:
-        return _radical_sign(self.a, self.b, self.d)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
-    def approx(self) -> float:
-        if self.b == 0:
-            return float(self.a)
-        root = Fraction(math.isqrt(self.d << 128), 1 << 64)
-        return float(self.a + self.b * root)
-
-    def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        return f"{self.a}{'+' if self.b >= 0 else '-'}{abs(self.b)}*sqrt({self.d})"
-
-
 @dataclass(frozen=True)
 class QuadraticRootReport:
     """Real roots of c2*t^2 + c1*t + c0 plus degeneracy flags."""
@@ -453,8 +440,14 @@ def _quadratic_time(a_num: int, a_den: int, b_num: int, b_den: int, d: int) -> A
     end.
     """
     r = math.lcm(a_den, b_den)
-    p = a_num * (r // a_den)
-    q = b_num * (r // b_den)
+    return _field_value(a_num * (r // a_den), b_num * (r // b_den), d, r)
+
+
+def _field_value(p: int, q: int, d: int, r: int) -> AlgebraicTime:
+    """(p + q*sqrt(d))/r in lowest terms for r > 0 and an already reduced
+    radicand d; the rational p/r when q == 0."""
+    if q == 0:
+        return _rational_time(p, r)
     g = math.gcd(p, q, r)
     return AlgebraicTime(p // g, q // g, d, r // g)
 
@@ -463,9 +456,7 @@ _NO_ROOTS = QuadraticRootReport((), False, False)
 _IDENTICALLY_ZERO = QuadraticRootReport((), True, False)
 
 
-def integer_roots(
-    c2: int, c1: int, c0: int, trial_bound: int = SQUAREFREE_TRIAL_BOUND
-) -> QuadraticRootReport:
+def integer_roots(c2: int, c1: int, c0: int) -> QuadraticRootReport:
     """Exact real roots of c2*t^2 + c1*t + c0 for integer coefficients,
     ascending, each reported once.
 
@@ -489,7 +480,7 @@ def integer_roots(
     square = c2 * c2
     g = math.gcd(disc, square)
     den = square // g
-    m, d = square_reduce(disc // g * den, trial_bound)
+    m, d = square_reduce(disc // g * den)
     # roots: -c1/(2*c2) -+ m*sqrt(d)/(2*den)
     if d == 1:
         lo = _rational_time(-c1 * den - m * c2, 2 * c2 * den)
@@ -507,12 +498,7 @@ def integer_roots(
     )
 
 
-def solve_quadratic(
-    c2: RationalLike,
-    c1: RationalLike,
-    c0: RationalLike,
-    trial_bound: int = SQUAREFREE_TRIAL_BOUND,
-) -> QuadraticRootReport:
+def solve_quadratic(c2: RationalLike, c1: RationalLike, c0: RationalLike) -> QuadraticRootReport:
     """Exact real roots of c2*t^2 + c1*t + c0, ascending, each reported once.
 
     The coefficients are scaled by their positive common denominator,
@@ -524,20 +510,18 @@ def solve_quadratic(
         c2.numerator * (scale // c2.denominator),
         c1.numerator * (scale // c1.denominator),
         c0.numerator * (scale // c0.denominator),
-        trial_bound,
     )
 
 
 def evaluate_at_time(
     poly: Sequence[RationalLike], t: AlgebraicTime
-) -> tuple[int, QuadValue]:
+) -> tuple[int, AlgebraicTime]:
     """Exact (sign, value) of a polynomial at t.
 
     Coefficients run highest power first, matching solve_quadratic's
     (c2, c1, c0) argument order.
     """
-    tv = QuadValue.of_time(t)
-    acc = QuadValue.rational(0)
+    acc = AlgebraicTime.from_rational(0)
     for coeff in poly:
-        acc = acc * tv + Fraction(coeff)
+        acc = acc * t + Fraction(coeff)
     return acc.sign(), acc

@@ -24,7 +24,6 @@ from typing import Optional, Union
 
 from .exact_numbers import (
     AlgebraicTime,
-    QuadValue,
     RationalLike,
     integer_roots,
     # unused here; bench/tracing.py wraps this module attribute
@@ -103,9 +102,9 @@ class Scene:
             raise SceneError(f"no point with id {pid!r}") from None
 
 
-def position_at(point: KineticPoint, t: TimeLike) -> tuple[QuadValue, QuadValue]:
+def position_at(point: KineticPoint, t: TimeLike) -> tuple[AlgebraicTime, AlgebraicTime]:
     """Exact planar position pos + t * vel, valid for algebraic times."""
-    tv = QuadValue.of_time(t) if isinstance(t, AlgebraicTime) else QuadValue.rational(Fraction(t))
+    tv = t if isinstance(t, AlgebraicTime) else AlgebraicTime.from_rational(t)
     return (tv * point.vel[0] + point.pos[0], tv * point.vel[1] + point.pos[1])
 
 

@@ -52,7 +52,7 @@ def _parse_pair(entry: dict, key: str, where: str):
         raise SceneError(f"{where}: {key!r} must be a pair of rational strings")
     try:
         return (parse_rational(raw[0]), parse_rational(raw[1]))
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise SceneError(f"{where}: bad {key!r} value: {exc}") from exc
 
 
@@ -84,7 +84,12 @@ def scene_from_json(data: dict) -> Scene:
 
 
 def save_scene(scene: Scene, path: Union[str, Path]) -> None:
-    text = json.dumps(scene_to_json(scene), indent=2, sort_keys=True)
+    """Write the scene file. A scene load_scene would refuse, such as one
+    with a coordinate over RATIONAL_DIGIT_LIMIT digits, raises SceneError
+    and writes nothing."""
+    doc = scene_to_json(scene)
+    scene_from_json(doc)
+    text = json.dumps(doc, indent=2, sort_keys=True)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

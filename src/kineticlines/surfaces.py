@@ -15,12 +15,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exact_numbers import AlgebraicTime, QuadValue, RationalLike
+from .exact_numbers import AlgebraicTime
 from .kinematics import KineticPoint, TimeLike, collision_time
 
 Plane = tuple[Fraction, Fraction, Fraction, Fraction]
 
-CoordLike = Union[QuadValue, Fraction, int]
+CoordLike = Union[AlgebraicTime, Fraction, int]
 
 
 @dataclass(frozen=True)
@@ -36,18 +36,12 @@ class SurfacePolynomial:
     coeff_t: Fraction
     coeff_tt: Fraction
 
-    def evaluate(self, x: CoordLike, y: CoordLike, t: TimeLike) -> QuadValue:
+    def evaluate(self, x: CoordLike, y: CoordLike, t: TimeLike) -> AlgebraicTime:
         """Exact value of F at a point whose coordinates may be quadratic."""
-        tv = (
-            QuadValue.of_time(t)
-            if isinstance(t, AlgebraicTime)
-            else QuadValue.rational(Fraction(t))
-        )
-        xv = x if isinstance(x, QuadValue) else QuadValue.rational(Fraction(x))
-        yv = y if isinstance(y, QuadValue) else QuadValue.rational(Fraction(y))
+        tv = t if isinstance(t, AlgebraicTime) else AlgebraicTime.from_rational(t)
         return (
-            xv * (tv * self.coeff_xt + self.coeff_x)
-            + yv * (tv * self.coeff_yt + self.coeff_y)
+            x * (tv * self.coeff_xt + self.coeff_x)
+            + y * (tv * self.coeff_yt + self.coeff_y)
             + tv * tv * self.coeff_tt
             + tv * self.coeff_t
             + self.coeff_1

@@ -43,6 +43,16 @@ class TestGenerate:
         assert code == 2
         assert not out.exists()
 
+    def test_precision_over_digit_limit_writes_nothing(self, tmp_path, capsys):
+        # 2**400 has 121 digits, over the scene literal limit load_scene keeps
+        out = tmp_path / "s.json"
+        argv = ["generate", "--construction", "tight", "--n", "4", "-o", str(out)]
+        assert main(argv + ["--precision-bits", "400"]) == 2
+        assert "limit" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--precision-bits", "200"]) == 0
+        assert main(["count", str(out), "--k", "3"]) == 0
+
     def test_unknown_construction_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--construction", "nope", "--n", "4", "-o", str(tmp_path / "x")])
@@ -74,6 +84,22 @@ class TestEvents:
         bad.write_text("{not json")
         assert main(["events", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_literal_over_digit_limit_exits_2_before_enumeration(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = write_crossing_scene(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["points"][0]["pos"][0] = "1e5000"
+        path.write_text(json.dumps(doc))
+
+        def enumerate_events(*args):
+            raise AssertionError("enumeration ran on a refused scene")
+
+        monkeypatch.setattr("kineticlines.cli.enumerate_events", enumerate_events)
+        assert main(["events", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "id 'a'" in err and "'pos'" in err and "limit" in err
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["events", str(tmp_path / "absent.json")]) == 1

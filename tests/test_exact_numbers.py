@@ -1,6 +1,7 @@
 """Exact-number layer: canonical forms, quadratic solving, ordering."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kineticlines.exact_numbers import (
+    RATIONAL_DIGIT_LIMIT,
     SQUAREFREE_TRIAL_BOUND,
     AlgebraicTime,
-    QuadValue,
     compare_times,
     evaluate_at_time,
     parse_rational,
@@ -39,6 +40,22 @@ class TestRationalStrings:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_rational("sqrt(2)")
+
+    def test_digit_limit_per_numerator_and_denominator(self):
+        top = "9" * RATIONAL_DIGIT_LIMIT
+        for text in (top, f"-{top}/7", f"1/{top}", f"{top}/{top[:-1]}8", "1e-63", "5e63"):
+            parse_rational(text)
+        for text in (top + "9", f"1/{top}9", f"-{top}9/7", "1e64", "1e-64", "1.5e64"):
+            with pytest.raises(OverflowError, match="limit"):
+                parse_rational(text)
+
+    def test_huge_literals_refused_before_building(self):
+        # building 10**100000000 alone would take minutes
+        start = time.perf_counter()
+        for text in ("1e100000000", "1e-100000000", "1e1_000_000_000", "7" * 100_000):
+            with pytest.raises(OverflowError):
+                parse_rational(text)
+        assert time.perf_counter() - start < 1.0
 
 
 def trial_division_reduce(n: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> tuple[int, int]:
@@ -145,6 +162,11 @@ class TestAlgebraicTimeCanonicalForm:
     def test_json_round_trip(self):
         for t in (AlgebraicTime.from_rational(F(-3, 4)), AlgebraicTime.make(1, 1, 2, 1)):
             assert AlgebraicTime.from_json(t.to_json()) == t
+
+    def test_json_round_trip_beyond_scene_digit_limit(self):
+        # event times run far longer than the coordinates they come from
+        long = AlgebraicTime.from_rational(F(-(10 ** (4 * RATIONAL_DIGIT_LIMIT)) - 1, 3))
+        assert AlgebraicTime.from_json(long.to_json()) == long
 
     def test_json_shape(self):
         rational = AlgebraicTime.from_rational(F(-3, 4)).to_json()
@@ -282,7 +304,7 @@ class TestEvaluateAtTime:
         t = AlgebraicTime.make(1, 1, 2, 1)
         sign, value = evaluate_at_time((F(1), F(0), F(-4)), t)
         assert sign == 1
-        assert value == QuadValue(F(-1), F(2), 2)
+        assert value == AlgebraicTime.make(-1, 2, 2, 1)
         sign, _ = evaluate_at_time((F(1), F(0), F(-4)), AlgebraicTime.from_rational(F(2)))
         assert sign == 0
         sign, _ = evaluate_at_time((F(5),), AlgebraicTime.make(3, -2, 7, 5))
@@ -294,26 +316,43 @@ class TestEvaluateAtTime:
         assert sign == -1
 
 
-class TestQuadValue:
+def field_value(a: F, b: F, d: int) -> AlgebraicTime:
+    """a + b*sqrt(d) built by field arithmetic from rationals."""
+    return AlgebraicTime.make(0, 1, d, 1) * b + a
+
+
+class TestFieldArithmetic:
     def test_rational_collapse(self):
-        v = QuadValue(F(3), F(0), 7)
+        rt2 = AlgebraicTime.make(0, 1, 2, 1)
+        v = rt2 * rt2
+        assert v == AlgebraicTime.from_rational(2)
         assert v.d == 0 and v.is_rational
 
     def test_mixed_field_rejected(self):
-        a = QuadValue(F(1), F(1), 2)
-        b = QuadValue(F(1), F(1), 3)
+        a = AlgebraicTime.make(1, 1, 2, 1)
+        b = AlgebraicTime.make(1, 1, 3, 1)
         with pytest.raises(ValueError):
             a + b
+        with pytest.raises(ValueError):
+            a * b
 
     def test_rational_broadcast(self):
-        a = QuadValue(F(1), F(1), 2)
+        a = AlgebraicTime.make(1, 1, 2, 1)
         assert (a + 1) - 1 == a
-        assert a * 0 == QuadValue.rational(0)
+        assert F(1, 3) * (a - F(1, 3)) == (1 - a) * F(-1, 3) + F(2, 9)
+        assert a * 0 == AlgebraicTime.from_rational(0)
+
+    def test_results_match_make_canonical_form(self):
+        one_plus_rt2 = AlgebraicTime.make(1, 1, 2, 1)
+        assert one_plus_rt2 * one_plus_rt2 == AlgebraicTime.make(3, 2, 2, 1)
+        half = AlgebraicTime.make(2, 4, 3, 4)  # (1 + 2*sqrt(3))/2
+        assert half + half == AlgebraicTime.make(2, 4, 3, 2)
+        assert -half * 2 == AlgebraicTime.make(-1, -2, 3, 1)
 
     @given(rationals(10, 6), rationals(10, 6), rationals(10, 6), rationals(10, 6))
     def test_field_arithmetic_matches_floats(self, a, b, c, d):
-        x = QuadValue(a, b, 2)
-        y = QuadValue(c, d, 2)
+        x = field_value(a, b, 2)
+        y = field_value(c, d, 2)
         rt2 = 2**0.5
         fx, fy = float(a) + float(b) * rt2, float(c) + float(d) * rt2
         assert abs((x + y).approx() - (fx + fy)) < 1e-6
@@ -322,7 +361,7 @@ class TestQuadValue:
 
     @given(rationals(20, 8), rationals(20, 8))
     def test_sign_agrees_with_value(self, a, b):
-        v = QuadValue(a, b, 5)
+        v = field_value(a, b, 5)
         approx = float(a) + float(b) * 5**0.5
         if abs(approx) > 1e-9:
             assert v.sign() == (1 if approx > 0 else -1)

@@ -62,7 +62,7 @@ class TestPositionAt:
         rt2 = AlgebraicTime.make(0, 1, 2, 1)
         x, y = position_at(p, rt2)
         assert x == y
-        assert x.a == 0 and x.b == 1 and x.d == 2
+        assert (x.p, x.q, x.d, x.r) == (0, 1, 2, 1)
 
     @given(triples().map(lambda t: t[0]), rationals(10, 6))
     def test_rational_paths_agree(self, p, t):

@@ -1,6 +1,7 @@
 """Scene file round trips, load diagnostics, and event listings."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from kineticlines import (
     scene_from_json,
     scene_to_json,
 )
+from kineticlines.exact_numbers import RATIONAL_DIGIT_LIMIT
 from kineticlines.sceneio import EVENTS_CSV_HEADER, SCENE_VERSION
 
 from conftest import coords, make_scene
@@ -102,11 +104,54 @@ class TestDiagnostics:
         with pytest.raises(SceneError, match="duplicate"):
             scene_from_json(doc)
 
+    def test_literal_over_digit_limit_names_point_and_field(self):
+        for literal in ("1" + "0" * RATIONAL_DIGIT_LIMIT, "1e5000", "1e100000000"):
+            doc = {
+                "version": 1,
+                "points": [{"id": "a", "pos": ["0", "0"], "vel": ["1", literal]}],
+            }
+            with pytest.raises(SceneError, match=r"id 'a'.*'vel'.*limit"):
+                scene_from_json(doc)
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"version": 1, "points": [')
         with pytest.raises(SceneError, match="not valid JSON"):
             load_scene(path)
+
+
+class TestDigitLimit:
+    def scene_at_limit(self):
+        # random numerators and denominators of the full 64 digits: each
+        # point's lcm of four denominators, and so its event times, come out
+        # about as long as the limit allows
+        rng = random.Random(7)
+        low, high = 10 ** (RATIONAL_DIGIT_LIMIT - 1), 10**RATIONAL_DIGIT_LIMIT
+
+        def coord():
+            return F(rng.choice((-1, 1)) * rng.randrange(low, high), rng.randrange(low, high))
+
+        return make_scene(
+            *((f"p{i}", (coord(), coord()), (coord(), coord())) for i in range(6))
+        )
+
+    def test_scene_at_limit_round_trips_and_serialises(self, tmp_path):
+        scene = self.scene_at_limit()
+        path = tmp_path / "limit.json"
+        save_scene(scene, path)
+        loaded = load_scene(path)
+        assert loaded == scene
+        events = enumerate_events(loaded)
+        assert events
+        listing = json.loads(json.dumps(events_to_json(events)))
+        assert len(listing) == len(events)
+
+    def test_save_refuses_what_load_would_refuse(self, tmp_path):
+        path = tmp_path / "big.json"
+        scene = make_scene(("a", (0, F(1, 10**RATIONAL_DIGIT_LIMIT)), (1, 0)))
+        with pytest.raises(SceneError, match="limit"):
+            save_scene(scene, path)
+        assert not path.exists()
 
 
 class TestEventListings:
