@@ -209,7 +209,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except SceneError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # a literal over the digit limit is a bad value, not an unreadable file
+        # a coordinate over the digit limit is a bad value, not an unreadable file
         return 2 if isinstance(exc.__cause__, OverflowError) else 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,21 +5,17 @@ points lie on the line, they do not all coincide, and the member set is
 not collinear at every time. Events are maximal: members are every scene
 point on the line at that time.
 
-Enumeration is one pipeline. Every triple is classified, and each root
-goes into a bucket keyed by its canonical time, so equal times meet in
-one bucket. A bucket evaluates positions and expands member sets over
-only the points of its own triples: every member of an event lies in a
-member triple that is not always collinear, and that triple has a root
-at the event time. Bucket times are sorted by their 64-bit interval
-bounds, with exact comparisons only where intervals overlap, and events
-at one time by their member tuple.
-
-Assembly runs on integers. At a bucket time t = (p + q*sqrt(d))/r, each
-point's position is held as four integers (x, x', y, y'), meaning
-((x + x'*sqrt(d))/L, (y + y'*sqrt(d))/L), where L is r times the least
-common multiple of the bucket's homogeneous denominators D. With one L
-for the bucket, coincidence is tuple equality, and the orientation test
-is two integer identities, one for each part of Z[sqrt(d)].
+Enumeration is one pass over the triples. Each root goes into a bucket
+keyed by its canonical time, so equal times meet in one bucket. Two
+points distinct at a time span one line there, so the events of a bucket
+are its root triples joined over their shared distinct pairs, by
+union-find; _assemble gives the argument that a component is exactly
+the points on one line. Collision times are rational, so only a bucket
+at a rational time computes positions, as integers, to find which pairs
+coincide. Bucket times are sorted by their 64-bit interval bounds, with
+exact comparisons only where intervals overlap, and events at one time
+by their member tuple. The same pass counts the triple incidences and
+the always-collinear triples that audit_bounds reports.
 
 brute_force_events re-derives the same list from scratch for small scenes
 and shares only the exact-number layer with the enumeration path, so the
@@ -108,71 +104,93 @@ def _sorted_events(events: Iterable[CollinearityEvent]) -> list[CollinearityEven
     return sorted(events, key=cmp_to_key(_event_order))
 
 
-class _TripleClassifier:
-    """Memoized classify_triple keyed by sorted point ids; classification
-    is permutation invariant, so the sorted key is safe."""
-
-    def __init__(self):
-        self._cache: dict[tuple[str, str, str], object] = {}
-
-    def __call__(self, a: KineticPoint, b: KineticPoint, c: KineticPoint):
-        key = tuple(sorted((a.id, b.id, c.id)))
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = classify_triple(a, b, c)
-            self._cache[key] = hit
-        return hit
-
-
-_Position = tuple[int, int, int, int]
-
-
-def _positions(
-    points: dict[str, KineticPoint], t: AlgebraicTime
-) -> dict[str, _Position]:
-    """Integer positions (x, x', y, y') of points at t over one shared
-    denominator L = r * lcm(D); see the module docstring."""
-    p, q, r = t.p, t.q, t.r
-    common = math.lcm(*(pt.homogeneous[4] for pt in points.values()))
-    positions = {}
-    for pid, pt in points.items():
-        x, y, vx, vy, den = pt.homogeneous
-        s = common // den
-        positions[pid] = (s * (x * r + vx * p), s * vx * q, s * (y * r + vy * p), s * vy * q)
-    return positions
-
-
-def _on_line(
-    positions: dict[str, _Position], u: str, v: str, d: int
-) -> tuple[str, ...]:
-    """Sorted ids of the points on the line through the distinct positions
-    of u and v: w is on it iff n . w == n . u for the normal n of v - u,
-    with both parts of the Z[sqrt(d)] dot product compared."""
-    ux, ux_, uy, uy_ = positions[u]
-    vx, vx_, vy, vy_ = positions[v]
-    nx, nx_, ny, ny_ = uy - vy, uy_ - vy_, vx - ux, vx_ - ux_
-    rat = nx * ux + ny * uy + d * (nx_ * ux_ + ny_ * uy_)
-    irr = nx * ux_ + nx_ * ux + ny * uy_ + ny_ * uy
-    return tuple(
-        sorted(
-            pid
-            for pid, (wx, wx_, wy, wy_) in positions.items()
-            if nx * wx + ny * wy + d * (nx_ * wx_ + ny_ * wy_) == rat
-            and nx * wx_ + nx_ * wx + ny * wy_ + ny_ * wy == irr
-        )
-    )
-
-
-def _first_distinct_pair(
-    ids: Sequence[str], positions: dict[str, _Position]
-) -> Optional[tuple[str, str]]:
-    for u, v in combinations(sorted(ids), 2):
-        if positions[u] != positions[v]:
-            return (u, v)
-    return None
-
-
 _Root = tuple[tuple[KineticPoint, KineticPoint, KineticPoint], bool]
+
+
+def _components(links: Sequence[Sequence[tuple[str, str]]]) -> list[list[int]]:
+    """Entries joined through shared pairs, as lists of entry indices.
+
+    links[i] holds the pairs of entry i, and two entries with a pair in
+    common are in one component (union-find with path halving, Tarjan
+    1975).
+    """
+    if len(links) < 2:
+        return [[i] for i in range(len(links))]
+    parent = list(range(len(links)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    owner: dict[tuple[str, str], int] = {}
+    for i, pairs in enumerate(links):
+        for pair in pairs:
+            j = owner.setdefault(pair, i)
+            if j != i:
+                parent[root(j)] = root(i)
+    components: dict[int, list[int]] = {}
+    for i in range(len(links)):
+        components.setdefault(root(i), []).append(i)
+    return list(components.values())
+
+
+def _bucket_events(
+    t: AlgebraicTime, roots: Sequence[_Root], k_min: int
+) -> tuple[list[CollinearityEvent], int]:
+    """The events at time t, ordered by member tuple, from the triples
+    with a root at t, and their triple incidences; see _assemble."""
+    positions = None
+    if t.q == 0:
+        # integer positions at t = p/r over the one denominator r*lcm(D),
+        # so that coincidence is tuple equality
+        forms = {pt.id: pt.homogeneous for trio, _ in roots for pt in trio}
+        common = math.lcm(*(form[4] for form in forms.values()))
+        positions = {
+            pid: ((x * t.r + vx * t.p) * (common // den), (y * t.r + vy * t.p) * (common // den))
+            for pid, (x, y, vx, vy, den) in forms.items()
+        }
+    joined: list[tuple[tuple[str, str, str], bool]] = []
+    links: list[list[tuple[str, str]]] = []
+    coincident: list[str] = []
+    for (pa, pb, pc), tangential in roots:
+        a, b, c = ids = (pa.id, pb.id, pc.id)
+        pairs = [(a, b), (a, c), (b, c)]
+        if positions is not None:
+            pairs = [(u, v) for u, v in pairs if positions[u] != positions[v]]
+            if not pairs:
+                coincident.append(a)
+                continue
+        joined.append((ids, tangential))
+        links.append(pairs)
+    events = []
+    incidences = 0
+    for component in _components(links):
+        members = tuple(sorted({pid for i in component for pid in joined[i][0]}))
+        if len(members) < k_min:
+            continue
+        if positions is None:
+            anchors, subcollision = members[:2], False
+        else:
+            anchors = next(
+                (u, v) for u, v in combinations(members, 2) if positions[u] != positions[v]
+            )
+            subcollision = len({positions[m] for m in members}) < len(members)
+        events.append(
+            CollinearityEvent(
+                time=t,
+                members=members,
+                k=len(members),
+                anchors=anchors,
+                tangential=any(joined[i][1] for i in component),
+                contains_subcollision=subcollision,
+            )
+        )
+        incidences += len(component)
+    # a coincident triple lies on every event line through its one position
+    incidences += sum(pid in e.members for pid in coincident for e in events)
+    events.sort(key=lambda e: e.members)
+    return events, incidences
 
 
 def _sorted_times(times: Iterable[AlgebraicTime]) -> list[AlgebraicTime]:
@@ -196,75 +214,57 @@ def _sorted_times(times: Iterable[AlgebraicTime]) -> list[AlgebraicTime]:
     return [t for run in runs for t in sorted(run, key=order)]
 
 
-def _bucket_events(
-    t: AlgebraicTime, roots: Sequence[_Root], k_min: int
-) -> list[CollinearityEvent]:
-    """The events at time t, ordered by member tuple, from the triples
-    with a root at t."""
-    points = {p.id: p for trio, _ in roots for p in trio}
-    positions = _positions(points, t)
-    tangential_of: dict[tuple[str, ...], bool] = {}
-    line_of: dict[tuple[str, str], tuple[str, ...]] = {}
-    for trio, tangential in roots:
-        anchor = _first_distinct_pair([p.id for p in trio], positions)
-        if anchor is None:
-            # all three coincide here; some triple with two distinct
-            # members on the same line discovers the event instead
-            continue
-        members = line_of.get(anchor)
-        if members is None:
-            if len(roots) == 1:
-                members = tuple(sorted(points))
-            else:
-                members = _on_line(positions, *anchor, t.d)
-            # any distinct pair of members spans this same line; anchors
-            # are distinct pairs, so a coincident pair is never looked up
-            for pair in combinations(members, 2):
-                line_of[pair] = members
-        tangential_of[members] = tangential_of.get(members, False) or tangential
-    # No filter for coincident or always-collinear member sets: the anchor
-    # pair is distinct, and if every member stayed on the anchors' line at
-    # all times, the discovering triple would be identically collinear.
-    events = []
-    for members in sorted(tangential_of):
-        if len(members) < k_min:
-            continue
-        anchors = _first_distinct_pair(members, positions)
-        events.append(
-            CollinearityEvent(
-                time=t,
-                members=members,
-                k=len(members),
-                anchors=anchors,
-                tangential=tangential_of[members],
-                contains_subcollision=len({positions[m] for m in members}) < len(members),
-            )
-        )
-    return events
-
-
-def _assemble(scene: Scene, k_min: int, classify) -> list[CollinearityEvent]:
+def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, int]:
     """Every event with at least k_min members, sorted by time, then by
-    member tuple.
+    member tuple; also the triple incidences of those events and the
+    number of always-collinear triples, for audit_bounds.
 
-    Bucket: each root of each triple goes into a dict keyed by its
-    canonical time, so equal times share a bucket. Positions: a bucket
-    evaluates and expands over only the points of its own triples. That
-    set holds every member of every event at its time, because each
-    member lies in a member triple that is not always collinear, and
-    that triple has a root there. A bucket of one triple is its own
-    member set. Sort: see _sorted_times.
+    Each root of each triple goes into a bucket keyed by its canonical
+    time (see _sorted_times for their order). Two points distinct at t
+    span one line, so root triples that share a pair distinct at t lie on
+    one line. A bucket's events are its triples joined over such pairs:
+    members are the union of their points, tangential the OR of their
+    flags. A triple whose points all coincide at t joins nothing.
+
+    Completeness: let S = (u, v, w) be a root triple, u and v distinct at
+    t, and x a point on its line at t, distinct from u there. Some triple
+    in S's component holds the pair (u, x): (u, v, x) if it is not always
+    collinear, since a triple collinear at t that is not always collinear
+    has a root there. Otherwise x moves on the line uv, so neither
+    (u, x, w) nor (v, x, w) is always collinear, or S would be. One of
+    them shares a distinct pair with S, and if only (v, x, w) does, then
+    w = u at t and the two share the distinct pair (x, w). Used from S to
+    each point of the line, then from the pair reached to another root
+    triple's distinct pair, this puts the whole line in one component.
+
+    Irrational times need no positions: two distinct motions meet at most
+    once, at a rational time (kinematics.collision_time), so at an
+    irrational t every pair is distinct, the anchors are the first two
+    members, and no members coincide. A rational bucket finds its
+    coincident pairs once, from integer positions.
+
+    Incidences: a member triple that is not always collinear is collinear
+    at t, so it is a root triple of the bucket. One with a distinct pair
+    belongs to its own component's event only; a coincident one to every
+    event through its position.
     """
     buckets: dict[AlgebraicTime, list[_Root]] = {}
+    always = 0
+    # hoisted: an Enum member lookup costs about 0.2 us on CPython 3.11
+    always_collinear = TripleKind.ALWAYS_COLLINEAR
     for trio in combinations(scene.points, 3):
-        cls = classify(*trio)
-        # always- and never-collinear triples carry no times
+        cls = classify_triple(*trio)
+        if cls.kind is always_collinear:
+            always += 1
         for t in cls.times:
             buckets.setdefault(t, []).append((trio, cls.tangential))
     events: list[CollinearityEvent] = []
+    incidences = 0
     for t in _sorted_times(buckets):
-        events += _bucket_events(t, buckets[t], k_min)
-    return events
+        at_t, count = _bucket_events(t, buckets[t], k_min)
+        events += at_t
+        incidences += count
+    return events, incidences, always
 
 
 def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
@@ -272,7 +272,7 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     (ties broken by the member tuple). Deterministic for a given scene."""
     if k_min < 3:
         raise ValueError("k_min must be at least 3")
-    return _assemble(scene, k_min, classify_triple)
+    return _assemble(scene, k_min)[0]
 
 
 def count_k_collinearities(scene: Scene, k: int) -> int:
@@ -282,28 +282,22 @@ def count_k_collinearities(scene: Scene, k: int) -> int:
     return sum(1 for e in enumerate_events(scene, 3) if e.k >= k)
 
 
-def always_collinear_groups(
-    scene: Scene, *, _classifier: Optional[_TripleClassifier] = None
-) -> list[tuple[str, ...]]:
+def always_collinear_groups(scene: Scene) -> list[tuple[str, ...]]:
     """Maximal point sets (size >= 3) collinear at every time.
 
-    For each pair, collect the companions that stay collinear with it
-    forever; a companion set of size >= 3 is automatically a maximal
-    group, and distinct groups share at most one point, so deduplicating
-    the companion sets is enough.
+    Two always-collinear triples that share a pair move on the one line
+    through that pair, whose points meet at most once, so the groups are
+    the always-collinear triples joined over shared pairs.
     """
-    classify = _classifier if _classifier is not None else _TripleClassifier()
-    groups: set[tuple[str, ...]] = set()
-    for a, b in combinations(scene.points, 2):
-        companions = [a.id, b.id]
-        for w in scene.points:
-            if w.id == a.id or w.id == b.id:
-                continue
-            if classify(a, b, w).kind is TripleKind.ALWAYS_COLLINEAR:
-                companions.append(w.id)
-        if len(companions) >= 3:
-            groups.add(tuple(sorted(companions)))
-    return sorted(groups)
+    links = [
+        [(a.id, b.id), (a.id, c.id), (b.id, c.id)]
+        for a, b, c in combinations(scene.points, 3)
+        if classify_triple(a, b, c).kind is TripleKind.ALWAYS_COLLINEAR
+    ]
+    return sorted(
+        tuple(sorted({pid for i in component for pair in links[i] for pid in pair}))
+        for component in _components(links)
+    )
 
 
 @dataclass(frozen=True)
@@ -342,24 +336,18 @@ class BoundAudit:
 
 
 def audit_bounds(scene: Scene, k: int) -> BoundAudit:
-    """Enumerate and check the event counts against both ceilings."""
+    """Enumerate and check the event counts against both ceilings, in the
+    one pass over the triples that enumerate_events makes."""
     if k < 3:
         raise ValueError("k must be at least 3")
-    classifier = _TripleClassifier()
-    events = _assemble(scene, 3, classifier)
+    events, incidences, always = _assemble(scene, 3)
     n = len(scene)
     count_3 = len(events)
     count_k = sum(1 for e in events if e.k >= k)
     bound_3 = 2 * math.comb(n, 3)
     bound_k = (2 * math.comb(n, 3)) // math.comb(k, 3)
-    groups = always_collinear_groups(scene, _classifier=classifier)
-    no_three_always = not groups
-    incidences = 0
-    for event in events:
-        for trio in combinations(event.members, 3):
-            pts = [scene.point(pid) for pid in trio]
-            if classifier(*pts).kind is not TripleKind.ALWAYS_COLLINEAR:
-                incidences += 1
+    # a group exists exactly when some triple is always collinear
+    no_three_always = always == 0
     passed = count_3 <= bound_3 and (not no_three_always or count_k <= bound_k)
     return BoundAudit(
         n=n,

@@ -24,12 +24,12 @@ SQUAREFREE_TRIAL_BOUND = 10_000
 _INTERVAL_START_BITS = 64
 _INTERVAL_BIT_CEILING = 1 << 20
 
-# Most decimal digits parse_rational allows in the numerator or the
-# denominator of a scene coordinate. A root's radicand comes from the
-# discriminant of a triple polynomial times its squared leading
-# coefficient, at most 64*L + 5 digits for L-digit coordinates, so at this
-# limit every event time stays under Python's 4300-digit int-to-str limit
-# and serialises.
+# Most decimal digits a scene coordinate may have in its numerator or its
+# denominator; Scene and parse_rational enforce it. A root's radicand
+# comes from the discriminant of a triple polynomial times its squared
+# leading coefficient, at most 64*L + 5 digits for L-digit coordinates, so
+# at this limit every event time stays under Python's 4300-digit
+# int-to-str limit and serialises.
 RATIONAL_DIGIT_LIMIT = 64
 _DIGIT_CEILING = 10**RATIONAL_DIGIT_LIMIT
 
@@ -62,6 +62,12 @@ def parse_rational(text: str) -> Fraction:
         value = Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {text!r}") from exc
+    return check_digit_limit(value)
+
+
+def check_digit_limit(value: Fraction) -> Fraction:
+    """value, if its numerator and denominator in lowest terms have at most
+    RATIONAL_DIGIT_LIMIT digits; OverflowError otherwise."""
     if abs(value.numerator) >= _DIGIT_CEILING or value.denominator >= _DIGIT_CEILING:
         raise _over_digit_limit()
     return value
@@ -69,7 +75,7 @@ def parse_rational(text: str) -> Fraction:
 
 def _over_digit_limit() -> OverflowError:
     return OverflowError(
-        f"rational literal over the limit of {RATIONAL_DIGIT_LIMIT} digits"
+        f"rational over the limit of {RATIONAL_DIGIT_LIMIT} digits"
         " per numerator and denominator"
     )
 

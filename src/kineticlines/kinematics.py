@@ -25,6 +25,7 @@ from typing import Optional, Union
 from .exact_numbers import (
     AlgebraicTime,
     RationalLike,
+    check_digit_limit,
     integer_roots,
     # unused here; bench/tracing.py wraps this module attribute
     solve_quadratic,  # noqa: F401
@@ -64,7 +65,9 @@ class KineticPoint:
 
 @dataclass
 class Scene:
-    """A finite set of kinetic points with distinct ids and distinct motions.
+    """A finite set of kinetic points with distinct ids and distinct motions,
+    each coordinate within RATIONAL_DIGIT_LIMIT digits per numerator and
+    denominator, so that every event time serialises.
 
     meta is free-form JSON-safe annotation; generators use it to record
     their parameters so verification steps can find them later.
@@ -81,6 +84,11 @@ class Scene:
             if pt.id in by_id:
                 raise SceneError(f"duplicate point id {pt.id!r}")
             by_id[pt.id] = pt
+            for name, value in zip(("pos[0]", "pos[1]", "vel[0]", "vel[1]"), (*pt.pos, *pt.vel)):
+                try:
+                    check_digit_limit(value)
+                except OverflowError as exc:
+                    raise SceneError(f"point {pt.id!r}: {name} is a {exc}") from exc
             key = (pt.pos, pt.vel)
             if key in by_motion:
                 raise SceneError(

@@ -44,7 +44,7 @@ class TestGenerate:
         assert not out.exists()
 
     def test_precision_over_digit_limit_writes_nothing(self, tmp_path, capsys):
-        # 2**400 has 121 digits, over the scene literal limit load_scene keeps
+        # 2**400 has 121 digits, over the scene coordinate limit
         out = tmp_path / "s.json"
         argv = ["generate", "--construction", "tight", "--n", "4", "-o", str(out)]
         assert main(argv + ["--precision-bits", "400"]) == 2

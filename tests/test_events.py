@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import kineticlines.events
 from kineticlines import (
     AlgebraicTime,
     CollinearityEvent,
@@ -19,6 +20,7 @@ from kineticlines import (
     brute_force_events,
     classify_triple,
     collinearity_polynomial,
+    collision_time,
     compare_times,
     count_k_collinearities,
     enumerate_events,
@@ -75,6 +77,17 @@ def tangential_scene():
     )
 
 
+def triple_collision_scene():
+    """a, b and c meet at the origin at t=1, on the lines to d and to e."""
+    return make_scene(
+        ("a", (-1, 0), (1, 0)),
+        ("b", (0, -1), (0, 1)),
+        ("c", (-1, -1), (1, 1)),
+        ("d", (5, 0), (0, 0)),
+        ("e", (0, 5), (0, 0)),
+    )
+
+
 def all_static_collinear_scene():
     return make_scene(
         ("a", (0, 0), (0, 0)),
@@ -88,6 +101,7 @@ HAND_SCENES = [
     collision_scene,
     always_group_scene,
     tangential_scene,
+    triple_collision_scene,
     all_static_collinear_scene,
 ]
 
@@ -236,6 +250,59 @@ class TestIncidenceIdentity:
             assert lhs == rhs
 
 
+def non_coincident_roots(scene):
+    """Pairs (triple, root) whose three points do not all coincide at the
+    root, counted from the triples alone."""
+    count = 0
+    for a, b, c in combinations(scene.points, 3):
+        for t in classify_triple(a, b, c).times:
+            all_meet = t.is_rational and (
+                collision_time(a, b) == collision_time(a, c) == t.as_fraction()
+            )
+            count += not all_meet
+    return count
+
+
+class TestDoubleCount:
+    """The paper's double count behind 2*C(n,3): every root of a triple
+    whose points do not all coincide there is one member triple of exactly
+    one event. A missing member, a split line or a merged line breaks it,
+    at sizes the oracle cannot reach."""
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (lambda: gen_random(40, 3), 15_703),
+            (lambda: gen_lower_bound(40, 4), 4_000),
+            (lambda: gen_tight(12), 440),
+        ],
+        ids=["random40-3", "lower_bound40-4", "tight12"],
+    )
+    def test_roots_equal_triple_incidences(self, build, expected):
+        scene = build()
+        assert non_coincident_roots(scene) == expected
+        assert audit_bounds(scene, 4).triple_incidences == expected
+
+
+class TestOneClassification:
+    def test_each_triple_classified_once(self, monkeypatch):
+        # bench/tracing.py wraps classify_triple at this module attribute,
+        # so the pipeline must look it up there at call time
+        scene = gen_lower_bound(16, 4)
+        calls = []
+        original = kineticlines.events.classify_triple
+
+        def counting(*trio):
+            calls.append(trio)
+            return original(*trio)
+
+        monkeypatch.setattr(kineticlines.events, "classify_triple", counting)
+        for run in (lambda: audit_bounds(scene, 4), lambda: enumerate_events(scene)):
+            calls.clear()
+            run()
+            assert len(calls) == math.comb(16, 3)
+
+
 class TestCountAndGroups:
     def test_count_matches_enumeration(self):
         scene = gen_lower_bound(16, 4)
@@ -294,9 +361,25 @@ class TestAuditBounds:
         assert {"event_count", "event_count_3", "triple_incidences"} <= set(payload)
 
 
+def assert_oracle_agrees(scene):
+    """enumerate_events matches the oracle, and audit_bounds counts the
+    oracle's events and their member triples that are not always
+    collinear."""
+    oracle = brute_force_events(scene)
+    where = [(p.id, p.pos, p.vel) for p in scene.points]
+    assert serialized(enumerate_events(scene)) == serialized(oracle), where
+    audit = audit_bounds(scene, 3)
+    assert audit.event_count_3 == len(oracle), where
+    assert audit.triple_incidences == sum(
+        any(collinearity_polynomial(*(scene.point(m) for m in trio)))
+        for e in oracle
+        for trio in combinations(e.members, 3)
+    ), where
+
+
 def assert_grid_scenes_agree(rng, count, coord):
-    """enumerate_events matches the oracle on count valid scenes of 4 to 7
-    points, each coordinate drawn by coord()."""
+    """assert_oracle_agrees on count valid scenes of 4 to 7 points, each
+    coordinate drawn by coord()."""
     checked = 0
     while checked < count:
         points = [
@@ -307,9 +390,7 @@ def assert_grid_scenes_agree(rng, count, coord):
             scene = Scene(points)
         except SceneError:
             continue
-        assert serialized(enumerate_events(scene)) == serialized(
-            brute_force_events(scene)
-        ), [(p.pos, p.vel) for p in points]
+        assert_oracle_agrees(scene)
         checked += 1
 
 
@@ -322,10 +403,7 @@ class TestBruteForceOracle:
 
     def test_hand_scenes_agree(self):
         for build in HAND_SCENES:
-            scene = build()
-            assert serialized(brute_force_events(scene)) == serialized(
-                enumerate_events(scene)
-            )
+            assert_oracle_agrees(build())
 
     def test_time_candidates_restrict(self):
         scene = gen_lower_bound(16, 4)
@@ -428,6 +506,30 @@ class TestMetamorphic:
             for e in enumerate_events(scene)
         ]
         assert enumerate_events(shifted) == expected
+
+    @pytest.mark.parametrize("s", [F(-1), F(-3, 2)], ids=["reversal", "scale-3/2"])
+    def test_velocity_scaling_divides_times(self, name, s):
+        # positions at t/s match the original positions at t, so members,
+        # anchors and flags stay; s < 0 reverses the order of the times
+        scene = METAMORPHIC_SCENES[name]()
+        scaled = moved(scene, lambda p: p.pos, lambda p: (s * p.vel[0], s * p.vel[1]))
+        a, b = s.numerator, s.denominator
+        events = enumerate_events(scene)
+        rank = {}
+        for e in events:
+            rank.setdefault(e.time, -len(rank))
+        expected = [
+            CollinearityEvent(
+                time=AlgebraicTime.make(e.time.p * b, e.time.q * b, e.time.d, e.time.r * a),
+                members=e.members,
+                k=e.k,
+                anchors=e.anchors,
+                tangential=e.tangential,
+                contains_subcollision=e.contains_subcollision,
+            )
+            for e in sorted(events, key=lambda e: (rank[e.time], e.members))
+        ]
+        assert enumerate_events(scaled) == expected
 
     def test_relabelling_permutes_members(self, name):
         scene = METAMORPHIC_SCENES[name]()

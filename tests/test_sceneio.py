@@ -55,6 +55,12 @@ class TestRoundTrip:
         raw = json.loads(path.read_text())
         assert all(isinstance(c, str) for pt in raw["points"] for c in pt["pos"])
 
+    def test_save_refuses_empty_id(self, tmp_path):
+        path = tmp_path / "unnamed.json"
+        with pytest.raises(SceneError, match="'id'"):
+            save_scene(make_scene(("", (0, 0), (1, 0))), path)
+        assert not path.exists()
+
     def test_document_shape(self):
         doc = scene_to_json(make_scene(("a", (1, F(1, 2)), (0, -3))))
         assert doc["version"] == SCENE_VERSION
@@ -146,11 +152,22 @@ class TestDigitLimit:
         listing = json.loads(json.dumps(events_to_json(events)))
         assert len(listing) == len(events)
 
+    def test_python_built_scene_over_limit_is_refused(self):
+        # before enumeration, not at the event listing's 4300-digit wall
+        rng = random.Random(11)
+        low, high = 10**119, 10**120
+
+        def coord():
+            return F(rng.randrange(low, high), rng.randrange(low, high))
+
+        with pytest.raises(SceneError, match=r"'p0': pos\[0\] is a rational over the limit"):
+            make_scene(*((f"p{i}", (coord(), coord()), (coord(), coord())) for i in range(6)))
+
     def test_save_refuses_what_load_would_refuse(self, tmp_path):
+        # the scene itself refuses the coordinate, so there is nothing to save
         path = tmp_path / "big.json"
-        scene = make_scene(("a", (0, F(1, 10**RATIONAL_DIGIT_LIMIT)), (1, 0)))
-        with pytest.raises(SceneError, match="limit"):
-            save_scene(scene, path)
+        with pytest.raises(SceneError, match=r"'a': pos\[1\] is a rational over the limit"):
+            save_scene(make_scene(("a", (0, F(1, 10**RATIONAL_DIGIT_LIMIT)), (1, 0))), path)
         assert not path.exists()
 
 
