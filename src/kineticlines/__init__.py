@@ -48,7 +48,6 @@ from .events import (
 from .constructions import (
     ConstructionParams,
     TightCertificate,
-    build_scene,
     gen_lower_bound,
     gen_no_collinearity,
     gen_no_collinearity_distinct,
@@ -104,7 +103,6 @@ __all__ = [
     "enumerate_events",
     "ConstructionParams",
     "TightCertificate",
-    "build_scene",
     "gen_lower_bound",
     "gen_no_collinearity",
     "gen_no_collinearity_distinct",

@@ -65,9 +65,10 @@ class KineticPoint:
 
 @dataclass
 class Scene:
-    """A finite set of kinetic points with distinct ids and distinct motions,
-    each coordinate within RATIONAL_DIGIT_LIMIT digits per numerator and
-    denominator, so that every event time serialises.
+    """A finite set of kinetic points with distinct non-empty string ids and
+    distinct motions, each coordinate within RATIONAL_DIGIT_LIMIT digits per
+    numerator and denominator, so that every scene saves and every event
+    time serialises.
 
     meta is free-form JSON-safe annotation; generators use it to record
     their parameters so verification steps can find them later.
@@ -81,6 +82,8 @@ class Scene:
         by_id: dict[str, KineticPoint] = {}
         by_motion: dict[tuple[Coord, Coord], str] = {}
         for pt in self.points:
+            if not isinstance(pt.id, str) or not pt.id:
+                raise SceneError(f"point 'id' must be a non-empty string, got {pt.id!r}")
             if pt.id in by_id:
                 raise SceneError(f"duplicate point id {pt.id!r}")
             by_id[pt.id] = pt
@@ -166,17 +169,16 @@ class TripleClassification:
 
     times are the exact collinearity moments, ascending, at most two.
     tangential marks a double root: the triple touches collinearity
-    without crossing it. coincident_all marks three identical motions,
-    which valid scenes reject upstream; it is carried for completeness.
+    without crossing it.
     """
 
     kind: TripleKind
     times: tuple[AlgebraicTime, ...]
     tangential: bool
-    coincident_all: bool
 
 
-_NEVER_COLLINEAR = TripleClassification(TripleKind.NEVER_COLLINEAR, (), False, False)
+_NEVER_COLLINEAR = TripleClassification(TripleKind.NEVER_COLLINEAR, (), False)
+_ALWAYS_COLLINEAR = TripleClassification(TripleKind.ALWAYS_COLLINEAR, (), False)
 
 
 def classify_triple(
@@ -184,15 +186,10 @@ def classify_triple(
 ) -> TripleClassification:
     """Classify a triple as always, sometimes, or never collinear."""
     report = integer_roots(*integer_collinearity_polynomial(a, b, c))
-    # three identical motions make the determinant vanish identically, so
-    # only an always-collinear triple can be coincident
     if report.roots:
-        return TripleClassification(
-            TripleKind.COLLINEAR_AT, report.roots, report.double_root, False
-        )
+        return TripleClassification(TripleKind.COLLINEAR_AT, report.roots, report.double_root)
     if report.identically_zero:
-        coincident = a.homogeneous == b.homogeneous == c.homogeneous
-        return TripleClassification(TripleKind.ALWAYS_COLLINEAR, (), False, coincident)
+        return _ALWAYS_COLLINEAR
     return _NEVER_COLLINEAR
 
 

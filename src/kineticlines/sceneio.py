@@ -84,11 +84,7 @@ def scene_from_json(data: dict) -> Scene:
 
 
 def save_scene(scene: Scene, path: Union[str, Path]) -> None:
-    """Write the scene file. A scene load_scene would refuse, such as one
-    with an empty point id, raises SceneError and writes nothing."""
-    doc = scene_to_json(scene)
-    scene_from_json(doc)
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(scene_to_json(scene), indent=2, sort_keys=True)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

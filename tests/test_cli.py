@@ -53,6 +53,13 @@ class TestGenerate:
         assert main(argv + ["--precision-bits", "200"]) == 0
         assert main(["count", str(out), "--k", "3"]) == 0
 
+    def test_negative_precision_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        argv = ["generate", "--construction", "tight", "--n", "4", "-o", str(out)]
+        assert main(argv + ["--precision-bits", "-1"]) == 2
+        assert "precision_bits must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_construction_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--construction", "nope", "--n", "4", "-o", str(tmp_path / "x")])

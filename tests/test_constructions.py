@@ -1,14 +1,19 @@
 """Generated scene families and the exact tight-scene certificate."""
 
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from kineticlines import (
     ConstructionParams,
     Scene,
-    build_scene,
     count_k_collinearities,
     enumerate_events,
     gen_lower_bound,
@@ -18,6 +23,7 @@ from kineticlines import (
     gen_tight,
     gen_tight_ellipse,
     position_at_rational,
+    scene_to_json,
     verify_tight_certificate,
 )
 
@@ -43,7 +49,8 @@ class TestParams:
         scene = ConstructionParams(name="random", n=4, seed=9).build()
         assert scene.meta["construction"] == "random"
         assert len(scene.points) == 4
-        assert build_scene("lower_bound", 16, k=4).meta["regime"] == "two_line"
+        lower = ConstructionParams(name="lower_bound", n=16, k=4).build()
+        assert lower.meta["regime"] == "two_line"
 
 
 class TestTight:
@@ -83,6 +90,77 @@ class TestTight:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             gen_tight(2)
+
+
+    def test_negative_precision_rejected(self):
+        for gen in (gen_tight, gen_tight_ellipse):
+            with pytest.raises(ValueError, match="precision_bits must be non-negative, got -1"):
+                gen(4, precision_bits=-1)
+
+
+# (generator, n, bits, failing certificate triples, sha256 of
+# json.dumps(scene_to_json(scene), sort_keys=True)), pinned when mpmath
+# computed the coordinates at bits + 64 bits of precision; the integer fixed point must reproduce every scene exactly.
+# At n=40 a 16-bit grid is too coarse to keep every triple tight, so the
+# certificate fails there on a fixed set of triples.
+TIGHT_DIGESTS = [
+    (gen_tight, 3, 16, 0, "f0c9ef260cecd8fc5f230490173a51ba67c663719447fdd023f30f1c8174aeda"),
+    (gen_tight, 3, 40, 0, "d244f9eadd44d91c0f238291e346114657fa49576a3524b4e3edecb6b71dd33d"),
+    (gen_tight, 3, 128, 0, "431d4024a1a961133c456bc0afe8747bb375e0e859300c651941f7be4431013f"),
+    (gen_tight, 3, 200, 0, "b7d98af85308335f8712b02a19c6269f92d8b2a19b55ee59be98d4c21cdd37d4"),
+    (gen_tight, 10, 16, 0, "edb27d65c30bc122ca2b10324bd351571567d4132bcf478f783130d86d58c48f"),
+    (gen_tight, 10, 40, 0, "07128c1ed9d96e0229c24ab9fef97aad409920613f6c94a6b295456079bc09b2"),
+    (gen_tight, 10, 128, 0, "1e863e724ed782739ea4c42c1ab2b557bfaa3fd14f16f88608b6742ad186d4c8"),
+    (gen_tight, 10, 200, 0, "a7bdbb1aa262d872c0bdc19265c3bd3c6f067155837f8d920593a66fab4a4513"),
+    (gen_tight, 40, 16, 249, "8646e64296d9fcaf5a13246d4e9bbb547fa8bf55923f0d82cd6178dc69f968b4"),
+    (gen_tight, 40, 40, 0, "f154a1bee50bf08752afdb3d3dcc5d305b5c0c0a28f40821bf35addb3becac88"),
+    (gen_tight, 40, 128, 0, "d175d2166605b34553dd3471d786ac8721257ec7ab7c6e874d9b6eae59e78baf"),
+    (gen_tight, 40, 200, 0, "1fd7d913c33b40b50d3eb779cbefc9630ace9969089748a4bccdefaf02ced67f"),
+    (gen_tight_ellipse, 3, 16, 0, "bb18528831465e1c599ad2253b4128e2b0e07bbf3f68583b7d733587a870f525"),
+    (gen_tight_ellipse, 3, 40, 0, "e34e3ccbce411d36b21db1ca09e36dd26575c515d040aa6e7111bd1c23d32e45"),
+    (gen_tight_ellipse, 3, 128, 0, "0b2b2a29ff65b261bb246e62ba8538b4bd26011a5e7c892664f09c16020ac55e"),
+    (gen_tight_ellipse, 3, 200, 0, "6788a85ab3a89c8819d547c509f7ee946c95c5d25318895d13a6cd08031fbd23"),
+    (gen_tight_ellipse, 10, 16, 0, "48846e887e494006ff69b116e0037599472841285bc855cf785c2d2c95a2887b"),
+    (gen_tight_ellipse, 10, 40, 0, "98188c241f3615e6f5a45057c01eaa2eda95e622a373cc0b8b4b3c84fb2bfb40"),
+    (gen_tight_ellipse, 10, 128, 0, "c524ea918eb52ddd7fa3c0faa326d840920ab974854b36aa045660cb31299800"),
+    (gen_tight_ellipse, 10, 200, 0, "1d1b50584eeff6dacc25cbf2cef5a1fe36e9f5b362756b3a19693768578b26cd"),
+    (gen_tight_ellipse, 40, 16, 230, "361e6d3d4ef8714783613a9697146fb59d613a4902af40a58d53caddf69659b7"),
+    (gen_tight_ellipse, 40, 40, 0, "f28116e10d836ba9478cbe3fd50f802fea61021e175e0e496bfe0b90ded38c6c"),
+    (gen_tight_ellipse, 40, 128, 0, "dbc49b899083e6c4b716f0bbe924d0208ae9cfc6b0c0fc3166db4cf1c6b87283"),
+    (gen_tight_ellipse, 40, 200, 0, "518197af07cca73fe6ce20234532ccb49365c6a5cda79237a24f7bb2f3cef3d7"),
+]
+
+
+@pytest.mark.parametrize(
+    "gen, n, bits, failing, digest",
+    TIGHT_DIGESTS,
+    ids=[f"{g.__name__}-n{n}-bits{b}" for g, n, b, _, _ in TIGHT_DIGESTS],
+)
+def test_tight_scene_digest_pinned(gen, n, bits, failing, digest):
+    scene = gen(n, precision_bits=bits)
+    text = json.dumps(scene_to_json(scene), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    cert = verify_tight_certificate(scene)
+    assert cert.triples_checked == math.comb(n, 3)
+    assert len(cert.failing_triples) == failing
+    assert cert.passed == (failing == 0)
+
+
+def test_tight_scenes_need_no_third_party_module():
+    # a None entry in sys.modules makes any import of mpmath fail
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import kineticlines\n"
+        "assert len(kineticlines.gen_tight(6).points) == 6\n"
+        "assert len(kineticlines.gen_tight_ellipse(6).points) == 6\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestTightEllipse:

@@ -35,6 +35,12 @@ class TestSceneValidation:
         with pytest.raises(SceneError, match="share position and velocity"):
             make_scene(("a", (0, 0), (1, 0)), ("b", (0, 0), (1, 0)))
 
+    @pytest.mark.parametrize("pid", ["", None, 7])
+    def test_id_must_be_nonempty_string(self, pid):
+        point = KineticPoint(pid, (F(0), F(0)), (F(1), F(0)))
+        with pytest.raises(SceneError, match="'id' must be a non-empty string"):
+            Scene((point,))
+
     def test_lookup(self):
         scene = make_scene(("a", (0, 0), (1, 0)), ("b", (1, 1), (0, 0)))
         assert scene.point("b").pos == (F(1), F(1))

@@ -58,7 +58,8 @@ class TestRoundTrip:
     def test_save_refuses_empty_id(self, tmp_path):
         path = tmp_path / "unnamed.json"
         with pytest.raises(SceneError, match="'id'"):
-            save_scene(make_scene(("", (0, 0), (1, 0))), path)
+            scene = make_scene(("", (0, 0), (1, 0)))
+            save_scene(scene, path)
         assert not path.exists()
 
     def test_document_shape(self):
