@@ -132,12 +132,24 @@ def _tight_scene(construction: str, n: int, bits: int, speed_of) -> Scene:
 
 
 def gen_tight(n: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Scene:
-    """Unit-speed scene whose event count reaches 2*C(n,3), all triples."""
+    """Unit-speed scene whose event count reaches 2*C(n,3), all triples.
+
+    The count holds only when verify_tight_certificate passes on the
+    scene; the generator does not run it (O(n**3)). A grid too coarse for
+    n rounds some triples out of the construction: gen_tight(40, 16) has
+    249 failing triples and 19740 events instead of 19760. Raise
+    precision_bits for large n.
+    """
     return _tight_scene("tight", n, precision_bits, lambda ct, one: one)
 
 
 def gen_tight_ellipse(n: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Scene:
-    """Tight-style scene with pairwise distinct speeds 1 / (1 - cos(theta)/2)."""
+    """Tight-style scene with pairwise distinct speeds 1 / (1 - cos(theta)/2).
+
+    As for gen_tight, 2*C(n,3) events are reached only when
+    verify_tight_certificate passes; at gen_tight_ellipse(40, 16), 230
+    triples fail. Raise precision_bits for large n.
+    """
     return _tight_scene(
         "tight_ellipse", n, precision_bits, lambda ct, one: 2 * one * one // (2 * one - ct)
     )

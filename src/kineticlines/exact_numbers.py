@@ -104,13 +104,12 @@ def square_reduce(n: int) -> tuple[int, int]:
     """Write n > 0 as m*m*d, pulling every found square factor into m.
 
     Trial division covers primes up to SQUAREFREE_TRIAL_BOUND, then the
-    remaining cofactor is tested for being a perfect square. The result is
-    certified squarefree when the cofactor ends up 1, prime, or a product
-    of at most two distinct primes above the bound. A square factor built
-    entirely from primes above the bound stays inside d; the reduction is
-    still a deterministic function of n, so equal inputs always map to
-    equal (m, d) pairs, which is what canonical forms need. The bound is
-    fixed, so every caller reduces one integer the same way.
+    remaining cofactor is tested for being a perfect square. A square
+    factor built entirely from primes above the bound stays inside d, so d
+    need not be squarefree. Canonical keys do not need it to be: they rest
+    on AlgebraicTime.make, the only caller, reducing an integer that
+    depends only on the value, and on the reduction being a fixed function
+    of that integer.
 
     The primes up to the bound that divide n are found at once, as the
     factors of gcd(n, product of those primes). That gcd is squarefree,
@@ -153,10 +152,15 @@ class AlgebraicTime:
 
     Rational values are stored with q == 0 and d == 0. Canonical form:
     r > 0, the stored integers share no common factor, square factors
-    found in d are folded into q, and a zero q forces d == 0. Values
-    built through `make`, `from_rational`, or `solve_quadratic` compare
-    equal exactly when they are the same real number, because the
-    reduction path is a function of the value itself.
+    found in d are folded into q, and a zero q forces d == 0.
+
+    Every time the engine produces is an output of `make` or of
+    `_rational_time`; the one exception, the lower of two irrational roots
+    in integer_roots, is the conjugate of a `make` output and canonical
+    with it. `from_rational` gives the same form as `_rational_time`. So
+    equal values are equal objects with equal hashes, which event
+    bucketing and dedup rely on; test_equal_values_share_canonical_key
+    tests this invariant.
 
     +, -, * work inside one quadratic field, with int and Fraction
     operands taken as rationals; operands with two different radicands
@@ -222,11 +226,7 @@ class AlgebraicTime:
             m = -m
         if dd == 1:
             return _rational_time(p * den + m * r, r * den)
-        return _quadratic_time(p, r, m, den, dd)
-
-    @property
-    def kind(self) -> str:
-        return "rational" if self.q == 0 else "quadratic"
+        return _field_value(p * den, m * r, dd, r * den)
 
     @property
     def is_rational(self) -> bool:
@@ -317,12 +317,6 @@ class AlgebraicTime:
         lo, hi = self._bounds(64)
         # int / int is correctly rounded
         return (lo + hi) / (1 << 65)
-
-    def __float__(self) -> float:
-        return self.approx()
-
-    def compare(self, other: "AlgebraicTime") -> int:
-        return compare_times(self, other)
 
     def __lt__(self, other):
         return compare_times(self, other) < 0
@@ -438,17 +432,6 @@ def _rational_time(num: int, den: int) -> AlgebraicTime:
     return AlgebraicTime(num // g, 0, 0, den // g)
 
 
-def _quadratic_time(a_num: int, a_den: int, b_num: int, b_den: int, d: int) -> AlgebraicTime:
-    """Canonical (p + q*sqrt(d))/r for a_num/a_den + (b_num/b_den)*sqrt(d).
-
-    Denominators are positive and d is already reduced; the fractions need
-    not be in lowest terms, since the common factor is divided out at the
-    end.
-    """
-    r = math.lcm(a_den, b_den)
-    return _field_value(a_num * (r // a_den), b_num * (r // b_den), d, r)
-
-
 def _field_value(p: int, q: int, d: int, r: int) -> AlgebraicTime:
     """(p + q*sqrt(d))/r in lowest terms for r > 0 and an already reduced
     radicand d; the rational p/r when q == 0."""
@@ -466,13 +449,11 @@ def integer_roots(c2: int, c1: int, c0: int) -> QuadraticRootReport:
     """Exact real roots of c2*t^2 + c1*t + c0 for integer coefficients,
     ascending, each reported once.
 
-    Rational-versus-irrational status of the roots is decided exactly: the
-    monic discriminant is a perfect square iff the roots are rational, and
-    perfect squares are always detected. For irrational roots the radicand
-    is reduced from the monic discriminant alone, as num*den of
-    (c1*c1 - 4*c2*c0)/c2**2 in lowest terms, so proportional polynomials
-    (and hence any polynomials sharing a root pair) produce identical
-    canonical forms.
+    Two distinct roots come from one AlgebraicTime.make call on the larger
+    root, (-c1 + sqrt(c1*c1 - 4*c2*c0))/(2*c2) with c2 > 0, so they are
+    canonical the way every other time is; make collapses it to a rational
+    exactly when the discriminant is a perfect square. The smaller root is
+    its conjugate, or -c1/c2 minus it when rational.
     """
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
@@ -483,25 +464,15 @@ def integer_roots(c2: int, c1: int, c0: int) -> QuadraticRootReport:
         return QuadraticRootReport((_rational_time(-c0, c1),), False, False)
     if disc == 0:
         return QuadraticRootReport((_rational_time(-c1, 2 * c2),), False, True)
-    square = c2 * c2
-    g = math.gcd(disc, square)
-    den = square // g
-    m, d = square_reduce(disc // g * den)
-    # roots: -c1/(2*c2) -+ m*sqrt(d)/(2*den)
-    if d == 1:
-        lo = _rational_time(-c1 * den - m * c2, 2 * c2 * den)
-        hi = _rational_time(-c1 * den + m * c2, 2 * c2 * den)
-        return QuadraticRootReport((lo, hi), False, False)
     if c2 < 0:
-        c1, c2 = -c1, -c2
-    return QuadraticRootReport(
-        (
-            _quadratic_time(-c1, 2 * c2, -m, 2 * den, d),
-            _quadratic_time(-c1, 2 * c2, m, 2 * den, d),
-        ),
-        False,
-        False,
-    )
+        c2, c1 = -c2, -c1
+    # roots (-c1 -+ sqrt(disc)) / (2*c2), and they sum to -c1/c2
+    hi = AlgebraicTime.make(-c1, 1, disc, 2 * c2)
+    if hi.is_rational:
+        lo = _rational_time(-c1 * hi.r - c2 * hi.p, c2 * hi.r)
+    else:
+        lo = AlgebraicTime(hi.p, -hi.q, hi.d, hi.r)
+    return QuadraticRootReport((lo, hi), False, False)
 
 
 def solve_quadratic(c2: RationalLike, c1: RationalLike, c0: RationalLike) -> QuadraticRootReport:

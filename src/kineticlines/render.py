@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .events import CollinearityEvent, enumerate_events
-from .exact_numbers import AlgebraicTime, compare_times
+from .exact_numbers import AlgebraicTime
 from .kinematics import Scene, position_at, position_at_rational
 
 __all__ = ["render_scene", "render_at_events"]
@@ -180,7 +180,7 @@ def _rational_frame(scene: Scene, t: Fraction, events: Sequence[CollinearityEven
     t_alg = AlgebraicTime.from_rational(t)
     lines = []
     for event in events:
-        if compare_times(event.time, t_alg) != 0:
+        if event.time != t_alg:
             continue
         a, b = event.anchors
         lines.append((positions[a], positions[b]))
@@ -204,20 +204,14 @@ def _event_frame(scene: Scene, event: CollinearityEvent) -> _Frame:
     )
 
 
-def render_scene(
-    scene: Scene,
-    times: Iterable[Fraction],
-    events: Optional[Sequence[CollinearityEvent]] = None,
-) -> list[str]:
+def render_scene(scene: Scene, times: Iterable[Fraction]) -> list[str]:
     """One SVG document per requested rational time, sharing one viewport
     computed from the positions at every requested time. Events at exactly
-    those times (enumerated on demand when not supplied) are drawn as
-    lines through their anchors."""
+    those times are drawn as lines through their anchors."""
     times = [Fraction(t) for t in times]
     if not times:
         raise ValueError("at least one time is required")
-    if events is None:
-        events = enumerate_events(scene)
+    events = enumerate_events(scene)
     frames = [_rational_frame(scene, t, events) for t in times]
     return _documents(scene, frames)
 
