@@ -12,10 +12,10 @@ are its root triples joined over their shared distinct pairs, by
 union-find; _assemble gives the argument that a component is exactly
 the points on one line. Collision times are rational, so only a bucket
 at a rational time computes positions, as integers, to find which pairs
-coincide. Bucket times are sorted by their 64-bit interval bounds, with
-exact comparisons only where intervals overlap, and events at one time
-by their member tuple. The same pass counts the triple incidences and
-the always-collinear triples that audit_bounds reports.
+coincide. Bucket times are sorted by exact_numbers.sorted_times, and
+events at one time by their member tuple. The same pass counts the
+triple incidences and the always-collinear triples that audit_bounds
+reports.
 
 brute_force_events re-derives the same list from scratch for small scenes
 and shares only the exact-number layer with the enumeration path, so the
@@ -35,6 +35,7 @@ from .exact_numbers import (
     AlgebraicTime,
     compare_times,
     solve_quadratic,
+    sorted_times,
 )
 from .kinematics import (
     KineticPoint,
@@ -193,34 +194,13 @@ def _bucket_events(
     return events, incidences
 
 
-def _sorted_times(times: Iterable[AlgebraicTime]) -> list[AlgebraicTime]:
-    """Times in exact ascending order.
-
-    Each time is keyed by its 64-bit interval bounds. Times whose
-    intervals are disjoint are ordered by the bounds alone; compare_times
-    runs only inside a run of overlapping intervals.
-    """
-    keyed = sorted(((t._bounds(64), t) for t in times), key=lambda item: item[0])
-    runs: list[list[AlgebraicTime]] = []
-    run_hi = 0
-    for (lo, hi), t in keyed:
-        if runs and lo <= run_hi:
-            runs[-1].append(t)
-            run_hi = max(run_hi, hi)
-        else:
-            runs.append([t])
-            run_hi = hi
-    order = cmp_to_key(compare_times)
-    return [t for run in runs for t in sorted(run, key=order)]
-
-
 def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, int]:
     """Every event with at least k_min members, sorted by time, then by
     member tuple; also the triple incidences of those events and the
     number of always-collinear triples, for audit_bounds.
 
     Each root of each triple goes into a bucket keyed by its canonical
-    time (see _sorted_times for their order). Two points distinct at t
+    time, and sorted_times orders the buckets. Two points distinct at t
     span one line, so root triples that share a pair distinct at t lie on
     one line. A bucket's events are its triples joined over such pairs:
     members are the union of their points, tangential the OR of their
@@ -260,7 +240,7 @@ def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, i
             buckets.setdefault(t, []).append((trio, cls.tangential))
     events: list[CollinearityEvent] = []
     incidences = 0
-    for t in _sorted_times(buckets):
+    for t in sorted_times(buckets):
         at_t, count = _bucket_events(t, buckets[t], k_min)
         events += at_t
         incidences += count
@@ -279,7 +259,7 @@ def count_k_collinearities(scene: Scene, k: int) -> int:
     """Number of events whose member count is at least k."""
     if k < 3:
         raise ValueError("k must be at least 3")
-    return sum(1 for e in enumerate_events(scene, 3) if e.k >= k)
+    return len(enumerate_events(scene, k))
 
 
 def always_collinear_groups(scene: Scene) -> list[tuple[str, ...]]:
@@ -438,7 +418,9 @@ def brute_force_events(
     else:
         for t in time_candidates:
             times.add(
-                t if isinstance(t, AlgebraicTime) else AlgebraicTime.from_rational(Fraction(t))
+                AlgebraicTime.make(t.p, t.q, t.d, t.r)
+                if isinstance(t, AlgebraicTime)
+                else AlgebraicTime.from_rational(Fraction(t))
             )
 
     events: list[CollinearityEvent] = []

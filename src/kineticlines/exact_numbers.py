@@ -3,9 +3,9 @@
 Every time value the engine produces is either a rational number or an
 element (p + q*sqrt(d))/r of a real quadratic field, held in a canonical
 integer form. Equality is a structural comparison of canonical forms.
-Ordering is decided symbolically when the values can be equal and by
-arbitrary-precision interval refinement otherwise, so comparisons never
-touch floating point.
+Order is the exact sign of a difference, found from integer products
+alone, so comparisons never touch floating point; sorted_times sorts
+many times at once.
 """
 
 from __future__ import annotations
@@ -13,16 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence, Union
+from functools import cmp_to_key, lru_cache
+from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
 # Trial division bound used when splitting square factors out of a radicand.
 SQUAREFREE_TRIAL_BOUND = 10_000
-
-_INTERVAL_START_BITS = 64
-_INTERVAL_BIT_CEILING = 1 << 20
 
 # Most decimal digits a scene coordinate may have in its numerator or its
 # denominator; Scene and parse_rational enforce it. A root's radicand
@@ -82,6 +79,16 @@ def _over_digit_limit() -> OverflowError:
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
+
+
+def _surd_sign(p: int, q: int, d: int) -> int:
+    """Exact sign of p + q*sqrt(d), for d not a perfect square when q != 0:
+    then p + q*sqrt(d) vanishes only when p == q == 0, and otherwise
+    p*p != q*q*d."""
+    sp, sq = _sign(p), _sign(q)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > q * q * d else sq
 
 
 @lru_cache(maxsize=None)
@@ -238,12 +245,8 @@ class AlgebraicTime:
         return Fraction(self.p, self.r)
 
     def sign(self) -> int:
-        """Exact sign: r > 0 and d is never a perfect square, so p + q*sqrt(d)
-        vanishes only when p == q == 0, and otherwise p*p != q*q*d."""
-        sp, sq = _sign(self.p), _sign(self.q)
-        if sp * sq >= 0:
-            return sp or sq
-        return sp if self.p * self.p > self.q * self.q * self.d else sq
+        """Exact sign; r > 0 and d is never a perfect square."""
+        return _surd_sign(self.p, self.q, self.d)
 
     def is_zero(self) -> bool:
         return self.q == 0 and self.p == 0
@@ -365,54 +368,50 @@ class AlgebraicTime:
         raise ValueError(f"unknown time kind {obj['kind']!r}")
 
 
-def _equal_symbolically(x: AlgebraicTime, y: AlgebraicTime) -> bool:
-    """Exact equality test by isolating and squaring the radical parts.
+def compare_times(x: AlgebraicTime, y: AlgebraicTime) -> int:
+    """Total order on exact times: -1, 0, or 1 as x <, ==, > y.
 
-    Sound for any radicands the canonical form admits: stored d values are
-    never perfect squares, so a nonzero rational-plus-radical combination
-    can only equal a pure radical when the rational offset vanishes. Both
-    sides are scaled by x.r * y.r > 0, so the test runs on integers.
+    The sign of x - y, scaled by x.r * y.r > 0, is the sign of
+    a + b*sqrt(dx) - c*sqrt(dy) with integer a, b, c. With one radicand,
+    or y rational, that is one surd; with x rational, likewise. Otherwise
+    u = a + b*sqrt(dx) and -c*sqrt(dy) either share a sign, which is the
+    answer, or the larger magnitude wins: sign(u) times the sign of
+    u*u - c*c*dy, again one surd over dx. Every stored radicand is a
+    non-square, so each surd sign is exact (_surd_sign), for any
+    spellings of the two values.
     """
     a = x.p * y.r - y.p * x.r
     b = x.q * y.r
     c = y.q * x.r
-    if b == 0 and c == 0:
-        return a == 0
-    if b == 0:
-        # a == c*sqrt(d_y)
-        return _sign(a) == _sign(c) and a * a == c * c * y.d
-    if c == 0:
-        # a + b*sqrt(d_x) == 0
-        return _sign(a) == -_sign(b) and a * a == b * b * x.d
-    if x.d == y.d:
-        return a == 0 and b == c
-    if a != 0:
-        # squaring a + b*sqrt(d_x) would leave an irrational cross term
-        return False
-    return _sign(b) == _sign(c) and b * b * x.d == c * c * y.d
+    if y.q == 0 or x.d == y.d:
+        return _surd_sign(a, b - c, x.d)
+    if x.q == 0:
+        return _surd_sign(a, -c, y.d)
+    su, sv = _surd_sign(a, b, x.d), -_sign(c)
+    if su * sv >= 0:
+        return su or sv
+    return su * _surd_sign(a * a + b * b * x.d - c * c * y.d, 2 * a * b, x.d)
 
 
-def compare_times(x: AlgebraicTime, y: AlgebraicTime) -> int:
-    """Total order on exact times: -1, 0, or 1 as x <, ==, > y.
+def sorted_times(times: Iterable[AlgebraicTime]) -> list[AlgebraicTime]:
+    """Times in exact ascending order.
 
-    Equality is settled symbolically; strict order falls back to interval
-    refinement that starts at 64 fractional bits and doubles each round,
-    which terminates because unequal reals eventually separate.
+    Each time is keyed by its 64-bit interval bounds. Times whose
+    intervals are disjoint are ordered by the bounds alone; compare_times
+    runs only inside a run of overlapping intervals.
     """
-    if x.q == 0 and y.q == 0:
-        return _sign(x.p * y.r - y.p * x.r)
-    if x == y or _equal_symbolically(x, y):
-        return 0
-    bits = _INTERVAL_START_BITS
-    while bits <= _INTERVAL_BIT_CEILING:
-        xlo, xhi = x._bounds(bits)
-        ylo, yhi = y._bounds(bits)
-        if xhi < ylo:
-            return -1
-        if yhi < xlo:
-            return 1
-        bits *= 2
-    raise RuntimeError(f"interval refinement failed to separate {x} and {y}")
+    keyed = sorted(((t._bounds(64), t) for t in times), key=lambda item: item[0])
+    runs: list[list[AlgebraicTime]] = []
+    run_hi = 0
+    for (lo, hi), t in keyed:
+        if runs and lo <= run_hi:
+            runs[-1].append(t)
+            run_hi = max(run_hi, hi)
+        else:
+            runs.append([t])
+            run_hi = hi
+    order = cmp_to_key(compare_times)
+    return [t for run in runs for t in sorted(run, key=order)]
 
 
 @dataclass(frozen=True)

@@ -411,6 +411,19 @@ class TestBruteForceOracle:
         assert len(at_zero) == 16
         assert all(e.time.as_fraction() == 0 and e.k == 4 for e in at_zero)
 
+    def test_time_candidates_canonicalised(self):
+        # the triple polynomial is t^2 - 12; sqrt(12) and 2*sqrt(3) are
+        # one candidate time under two spellings, so one event
+        scene = make_scene(
+            ("a", (0, 0), (0, 0)),
+            ("b", (1, 0), (0, 1)),
+            ("c", (0, -12), (-1, 0)),
+        )
+        candidates = [AlgebraicTime(0, 1, 12, 1), AlgebraicTime.make(0, 2, 3, 1)]
+        events = brute_force_events(scene, time_candidates=candidates)
+        assert serialized(events) == serialized(enumerate_events(scene)[1:])
+        assert (events[0].time.q, events[0].time.d) == (2, 3)
+
     def test_degenerate_grid_scenes_agree(self):
         # coordinates from {-2..2} force collisions at event times, shared
         # velocities and always-collinear groups crossed by a mover

@@ -1,8 +1,10 @@
 """Exact-number layer: canonical forms, quadratic solving, ordering."""
 
 import math
+import random
 import time
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 
 import pytest
@@ -18,6 +20,7 @@ from kineticlines.exact_numbers import (
     parse_rational,
     rational_str,
     solve_quadratic,
+    sorted_times,
     square_reduce,
 )
 
@@ -297,6 +300,105 @@ class TestCompareTimes:
         a = AlgebraicTime.make(1, -1, 2, 1)
         b = AlgebraicTime.from_rational(F(1))
         assert a < b and b > a and a <= a and b >= b
+
+    def test_rt2_convergents_inside_one_64_bit_interval(self):
+        rt2 = AlgebraicTime.make(0, 1, 2, 1)
+        for index in (40, 50, 80, 200):
+            for num, den in sqrt2_convergents(index)[-2:]:
+                c = AlgebraicTime.from_rational(F(num, den))
+                # consecutive convergents lie on both sides of sqrt(2)
+                expected = -1 if num * num > 2 * den * den else 1
+                assert reference_compare(rt2, c) == expected
+                assert compare_times(rt2, c) == expected
+                assert compare_times(c, rt2) == -expected
+
+    def test_cross_radicand_near_ties(self):
+        # 1 + sqrt(2) against sqrt(D)/10**k and sqrt(D + 1)/10**k, with
+        # D = floor((1 + sqrt(2))**2 * 10**(2k)): the two lie within about
+        # 10**(-2k) of 1 + sqrt(2), on either side, under other radicands
+        one_plus_rt2 = AlgebraicTime.make(1, 1, 2, 1)
+        for k in (10, 20, 40):
+            scale = 10**k
+            big = 3 * scale * scale + math.isqrt(8 * scale**4)
+            for radicand, expected in ((big, 1), (big + 1, -1)):
+                y = AlgebraicTime.make(0, 1, radicand, scale)
+                assert y.d != 2
+                assert reference_compare(one_plus_rt2, y) == expected
+                assert compare_times(one_plus_rt2, y) == expected
+                assert compare_times(y, one_plus_rt2) == -expected
+
+    def test_other_spellings_compare_equal(self):
+        pairs = [
+            (AlgebraicTime(0, 1, 12, 1), AlgebraicTime.make(0, 2, 3, 1)),
+            (AlgebraicTime(0, 1, 8, 1), AlgebraicTime.make(0, 2, 2, 1)),
+            (AlgebraicTime(1, -1, 12, 2), AlgebraicTime.make(1, -2, 3, 2)),
+            (AlgebraicTime(3, 1, 50, 1), AlgebraicTime.make(3, 5, 2, 1)),
+        ]
+        for x, y in pairs:
+            assert x != y
+            assert reference_compare(x, y) == 0
+            assert compare_times(x, y) == compare_times(y, x) == 0
+            # the conjugate lies on the other side of x's rational part
+            conjugate = AlgebraicTime(x.p, -x.q, x.d, x.r)
+            expected = -1 if x.q > 0 else 1
+            assert compare_times(conjugate, y) == reference_compare(conjugate, y) == expected
+
+
+class TestSortedTimes:
+    def test_matches_comparator_sort_inside_one_interval(self):
+        rt2 = AlgebraicTime.make(0, 1, 2, 1)
+        scale = 10**20
+        big = 2 * scale * scale
+        near = [
+            rt2,
+            AlgebraicTime.make(0, 1, big - 1, scale),
+            AlgebraicTime.make(0, 1, big + 1, scale),
+            AlgebraicTime(0, 1, 8, 2),  # sqrt(2) again, under another spelling
+        ]
+        near += [AlgebraicTime.from_rational(F(n, d)) for n, d in sqrt2_convergents(60)[-3:]]
+        times = near + [-t for t in near] + [AlgebraicTime.from_rational(F(1, 3))]
+        # all of near share one 64-bit interval, up to a unit
+        assert all(abs(t._bounds(64)[0] - rt2._bounds(64)[0]) <= 1 for t in near)
+        rng = random.Random(2011)
+        for _ in range(20):
+            rng.shuffle(times)
+            got = sorted_times(times)
+            assert got == sorted(times, key=cmp_to_key(compare_times))
+            assert all(reference_compare(x, y) <= 0 for x, y in zip(got, got[1:]))
+
+
+def sqrt2_convergents(count):
+    """The first count convergents num/den of sqrt(2), alternately below
+    and above it; the last lies within 1/den**2 of it."""
+    out = [(1, 1)]
+    while len(out) < count:
+        num, den = out[-1]
+        out.append((num + 2 * den, num + den))
+    return out
+
+
+def reference_compare(x, y, max_bits=1 << 13):
+    """Order of x and y from integer brackets of value * 2**bits, with the
+    bits doubling until the brackets separate; 0 when they never do below
+    max_bits, which for the values above means equal."""
+    bits = 64
+    while bits <= max_bits:
+        (xlo, xhi), (ylo, yhi) = reference_brackets(x, bits), reference_brackets(y, bits)
+        if xhi < ylo:
+            return -1
+        if yhi < xlo:
+            return 1
+        bits *= 2
+    return 0
+
+
+def reference_brackets(t, bits):
+    """Integers lo <= t * 2**bits <= hi, at most 3 apart."""
+    # |q|*sqrt(d) * 2**bits lies in [root, root + 1]
+    root = math.isqrt(t.q * t.q * t.d << (2 * bits))
+    lo, hi = (root, root + 1) if t.q >= 0 else (-root - 1, -root)
+    base = t.p << bits
+    return (base + lo) // t.r, -(-(base + hi) // t.r)
 
 
 class TestEvaluateAtTime:
