@@ -29,10 +29,9 @@ import math
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
-from .kinematics import KineticPoint, Scene, integer_collinearity_polynomial
+from .kinematics import KineticPoint, Scene, triple_polynomials
 
 __all__ = [
     "ConstructionParams",
@@ -349,9 +348,9 @@ def verify_tight_certificate(scene: Scene, big_time: int = 1 << 20) -> TightCert
     pts = [scene.point(pid) for pid in order]
     failing = []
     checked = 0
-    for a, b, c in combinations(pts, 3):
+    # the sign tests below do not depend on the polynomial's positive scale
+    for a, b, c, c2, c1, c0 in triple_polynomials(pts):
         checked += 1
-        c2, c1, c0 = integer_collinearity_polynomial(a, b, c)
         at_plus = (c2 * big_time + c1) * big_time + c0
         at_minus = (c2 * big_time - c1) * big_time + c0
         ok = (

@@ -5,17 +5,19 @@ points lie on the line, they do not all coincide, and the member set is
 not collinear at every time. Events are maximal: members are every scene
 point on the line at that time.
 
-Enumeration is one pass over the triples. Each root goes into a bucket
-keyed by its canonical time, so equal times meet in one bucket. Two
-points distinct at a time span one line there, so the events of a bucket
-are its root triples joined over their shared distinct pairs, by
-union-find; _assemble gives the argument that a component is exactly
-the points on one line. Collision times are rational, so only a bucket
-at a rational time computes positions, as integers, to find which pairs
-coincide. Bucket times are sorted by exact_numbers.sorted_times, and
-events at one time by their member tuple. The same pass counts the
-triple incidences and the always-collinear triples that audit_bounds
-reports.
+Enumeration is one pass over pivot fans (kinematics.triple_polynomials),
+which gives every triple's integer polynomial from differences computed
+once per pair. A triple with a negative discriminant is never collinear
+and is skipped there; every other root goes into a bucket keyed by its
+canonical time, so equal times meet in one bucket. Two points distinct
+at a time span one line there, so the events of a bucket are its root
+triples joined over their shared distinct pairs, by union-find;
+_assemble gives the argument that a component is exactly the points on
+one line. Collision times are rational, so only a bucket at a rational
+time computes positions, as integers, to find which pairs coincide.
+Bucket times are sorted by exact_numbers.sorted_times, and events at one
+time by their member tuple. The same pass counts the triple incidences
+and the always-collinear triples that audit_bounds reports.
 
 brute_force_events re-derives the same list from scratch for small scenes
 and shares only the exact-number layer with the enumeration path, so the
@@ -34,6 +36,7 @@ from typing import Iterable, Optional, Sequence
 from .exact_numbers import (
     AlgebraicTime,
     compare_times,
+    integer_roots,
     solve_quadratic,
     sorted_times,
 )
@@ -43,6 +46,7 @@ from .kinematics import (
     TimeLike,
     TripleKind,
     classify_triple,
+    triple_polynomials,
     # unused here; bench/tracing.py wraps this module attribute
     position_at,  # noqa: F401
 )
@@ -199,12 +203,17 @@ def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, i
     member tuple; also the triple incidences of those events and the
     number of always-collinear triples, for audit_bounds.
 
-    Each root of each triple goes into a bucket keyed by its canonical
-    time, and sorted_times orders the buckets. Two points distinct at t
-    span one line, so root triples that share a pair distinct at t lie on
-    one line. A bucket's events are its triples joined over such pairs:
-    members are the union of their points, tangential the OR of their
-    flags. A triple whose points all coincide at t joins nothing.
+    One pass over the pivot fans of triple_polynomials, looked up on this
+    module at call time, gives each triple's integer polynomial. A triple
+    with a negative discriminant is skipped before any call; integer_roots
+    reports the rest, counting an identically zero polynomial as an
+    always-collinear triple and a double root as tangential. Each root
+    goes into a bucket keyed by its canonical time, and sorted_times
+    orders the buckets. Two points distinct at t span one line, so root
+    triples that share a pair distinct at t lie on one line. A bucket's
+    events are its triples joined over such pairs: members are the union
+    of their points, tangential the OR of their flags. A triple whose
+    points all coincide at t joins nothing.
 
     Completeness: let S = (u, v, w) be a root triple, u and v distinct at
     t, and x a point on its line at t, distinct from u there. Some triple
@@ -230,14 +239,14 @@ def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, i
     """
     buckets: dict[AlgebraicTime, list[_Root]] = {}
     always = 0
-    # hoisted: an Enum member lookup costs about 0.2 us on CPython 3.11
-    always_collinear = TripleKind.ALWAYS_COLLINEAR
-    for trio in combinations(scene.points, 3):
-        cls = classify_triple(*trio)
-        if cls.kind is always_collinear:
+    for a, b, c, c2, c1, c0 in triple_polynomials(scene.points):
+        if c1 * c1 - 4 * c2 * c0 < 0:
+            continue
+        report = integer_roots(c2, c1, c0)
+        if report.identically_zero:
             always += 1
-        for t in cls.times:
-            buckets.setdefault(t, []).append((trio, cls.tangential))
+        for t in report.roots:
+            buckets.setdefault(t, []).append(((a, b, c), report.double_root))
     events: list[CollinearityEvent] = []
     incidences = 0
     for t in sorted_times(buckets):
@@ -317,7 +326,7 @@ class BoundAudit:
 
 def audit_bounds(scene: Scene, k: int) -> BoundAudit:
     """Enumerate and check the event counts against both ceilings, in the
-    one pass over the triples that enumerate_events makes."""
+    one pass over the pivot fans that enumerate_events makes."""
     if k < 3:
         raise ValueError("k must be at least 3")
     events, incidences, always = _assemble(scene, 3)

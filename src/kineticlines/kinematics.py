@@ -7,10 +7,15 @@ moments the triple can be collinear.
 
 Classification runs on integers. Each point carries a homogeneous form
 (X, Y, VX, VY, D): pos = (X, Y)/D and vel = (VX, VY)/D, with D the least
-common denominator of its four coordinates, computed once per point. The
-triple determinant expanded over these integers is D_a*D_b*D_c**2 times
-the rational one, a positive multiple, so its roots and signs are the
-same, and integer_roots finds them without building a Fraction.
+common denominator of its four coordinates, computed once per point.
+triple_polynomials expands the determinant over these integers in pivot
+fans: for each pivot a, the difference b - a to each later point is
+computed once, over D_a*D_b, and a triple (a, b, c) is one cross product
+of two stored differences. That is D_a**2*D_b*D_c times the rational
+determinant, a positive multiple, so its roots and signs are the same,
+and integer_roots finds them without building a Fraction. It is the one
+place the determinant is expanded; integer_collinearity_polynomial is
+its one-triple case.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .exact_numbers import (
     AlgebraicTime,
@@ -125,26 +130,46 @@ def position_at_rational(point: KineticPoint, t: RationalLike) -> Coord:
     return (point.pos[0] + t * point.vel[0], point.pos[1] + t * point.vel[1])
 
 
+def triple_polynomials(
+    points: Sequence[KineticPoint],
+) -> Iterator[tuple[KineticPoint, KineticPoint, KineticPoint, int, int, int]]:
+    """(a, b, c, c2, c1, c0) for every triple of points, in combinations
+    order, with (c2, c1, c0) the integer collinearity polynomial scaled by
+    D_a**2*D_b*D_c.
+
+    For each pivot a, the linear-in-t difference b - a to each later point
+    b is kept as integers (x0, x1, y0, y1) over D_a*D_b, so the O(n**2)
+    differences are computed once and each triple costs one cross product
+    of two of them; the degree never exceeds 2.
+    """
+    forms = [(pt, pt.homogeneous) for pt in points]
+    for i, (a, (ax, ay, avx, avy, ad)) in enumerate(forms):
+        fan = [
+            (b, bx * ad - ax * bd, bvx * ad - avx * bd, by * ad - ay * bd, bvy * ad - avy * bd)
+            for b, (bx, by, bvx, bvy, bd) in forms[i + 1 :]
+        ]
+        for j, (b, ux0, ux1, uy0, uy1) in enumerate(fan):
+            for c, vx0, vx1, vy0, vy1 in fan[j + 1 :]:
+                yield (
+                    a,
+                    b,
+                    c,
+                    ux1 * vy1 - uy1 * vx1,
+                    ux0 * vy1 + ux1 * vy0 - uy0 * vx1 - uy1 * vx0,
+                    ux0 * vy0 - uy0 * vx0,
+                )
+
+
 def integer_collinearity_polynomial(
     a: KineticPoint, b: KineticPoint, c: KineticPoint
 ) -> tuple[int, int, int]:
     """Integer (c2, c1, c0): D_a*D_b*D_c**2 times collinearity_polynomial.
 
-    The determinant is expanded as the cross product of the linear-in-t
-    difference vectors (a - c) and (b - c), so the degree never exceeds 2.
-    Over the homogeneous forms, a - c has denominator D_a*D_c and b - c
-    has D_b*D_c.
+    The one-triple case of triple_polynomials with pivot c: the cross
+    product of a - c and b - c, which equals the determinant of (a, b, c)
+    because the cyclic order (c, a, b) keeps its sign.
     """
-    ax, ay, avx, avy, ad = a.homogeneous
-    bx, by, bvx, bvy, bd = b.homogeneous
-    cx, cy, cvx, cvy, cd = c.homogeneous
-    ux0, ux1 = ax * cd - cx * ad, avx * cd - cvx * ad
-    uy0, uy1 = ay * cd - cy * ad, avy * cd - cvy * ad
-    vx0, vx1 = bx * cd - cx * bd, bvx * cd - cvx * bd
-    vy0, vy1 = by * cd - cy * bd, bvy * cd - cvy * bd
-    c0 = ux0 * vy0 - uy0 * vx0
-    c1 = ux0 * vy1 + ux1 * vy0 - uy0 * vx1 - uy1 * vx0
-    c2 = ux1 * vy1 - uy1 * vx1
+    _, _, _, c2, c1, c0 = next(triple_polynomials((c, a, b)))
     return (c2, c1, c0)
 
 

@@ -32,6 +32,8 @@ from kineticlines import (
     gen_tight,
     position_at,
 )
+from kineticlines.exact_numbers import integer_roots
+from kineticlines.kinematics import triple_polynomials
 
 from conftest import make_scene, serialized
 
@@ -104,6 +106,31 @@ HAND_SCENES = [
     triple_collision_scene,
     all_static_collinear_scene,
 ]
+
+
+def grid_scenes(rng, count, coord):
+    """count valid scenes of 4 to 7 points, each coordinate drawn by coord()."""
+    made = 0
+    while made < count:
+        points = [
+            KineticPoint.make(f"p{i}", (coord(), coord()), (coord(), coord()))
+            for i in range(rng.randint(4, 7))
+        ]
+        try:
+            scene = Scene(points)
+        except SceneError:
+            continue
+        yield scene
+        made += 1
+
+
+def mixed_denominator_grid_scenes(count, seed):
+    """grid_scenes with coordinates from {-2..2}/{1,2,3}."""
+    rng = random.Random(seed)
+    grid = range(-2, 3)
+    return list(
+        grid_scenes(rng, count, lambda: Fraction(rng.choice(grid), rng.choice((1, 2, 3))))
+    )
 
 
 class TestEnumerateEvents:
@@ -285,22 +312,68 @@ class TestDoubleCount:
 
 
 class TestOneClassification:
-    def test_each_triple_classified_once(self, monkeypatch):
-        # bench/tracing.py wraps classify_triple at this module attribute,
-        # so the pipeline must look it up there at call time
+    def test_triple_polynomials_called_once_per_pass(self, monkeypatch):
+        # the pipeline looks the fan generator up at this module attribute
+        # at call time, once per pass
         scene = gen_lower_bound(16, 4)
         calls = []
-        original = kineticlines.events.classify_triple
+        original = kineticlines.events.triple_polynomials
 
-        def counting(*trio):
-            calls.append(trio)
-            return original(*trio)
+        def counting(points):
+            calls.append(points)
+            return original(points)
 
-        monkeypatch.setattr(kineticlines.events, "classify_triple", counting)
+        monkeypatch.setattr(kineticlines.events, "triple_polynomials", counting)
         for run in (lambda: audit_bounds(scene, 4), lambda: enumerate_events(scene)):
             calls.clear()
             run()
-            assert len(calls) == math.comb(16, 3)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            gen_lower_bound(16, 4),
+            gen_random(12, 1),
+            *mixed_denominator_grid_scenes(4, 2013),
+            *(build() for build in HAND_SCENES),
+        ],
+        ids=[
+            "lower_bound16-4",
+            "random12-1",
+            "grid0",
+            "grid1",
+            "grid2",
+            "grid3",
+            *(build.__name__ for build in HAND_SCENES),
+        ],
+    )
+    def test_fan_polynomials_match_classify_triple(self, scene):
+        # each fan polynomial is D_a**2*D_b*D_c times the rational
+        # determinant, here interpolated from its values at t = -1, 0, 1,
+        # and its integer_roots report classifies the triple
+        def det(a, b, c, t):
+            (ax, ay), (bx, by), (cx, cy) = (
+                (p.pos[0] + t * p.vel[0], p.pos[1] + t * p.vel[1]) for p in (a, b, c)
+            )
+            return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+        fan = list(triple_polynomials(scene.points))
+        assert [trio for *trio, _, _, _ in fan] == [
+            list(trio) for trio in combinations(scene.points, 3)
+        ]
+        for a, b, c, c2, c1, c0 in fan:
+            f_minus, f_zero, f_plus = (det(a, b, c, t) for t in (-1, 0, 1))
+            rational = ((f_plus + f_minus) / 2 - f_zero, (f_plus - f_minus) / 2, f_zero)
+            assert collinearity_polynomial(a, b, c) == rational
+            scale = a.homogeneous[4] ** 2 * b.homogeneous[4] * c.homogeneous[4]
+            assert (c2, c1, c0) == tuple(scale * coeff for coeff in rational)
+            report = integer_roots(c2, c1, c0)
+            cls = classify_triple(a, b, c)
+            assert report.roots == cls.times
+            assert report.double_root == cls.tangential
+            assert report.identically_zero == (cls.kind is TripleKind.ALWAYS_COLLINEAR)
+            if c1 * c1 - 4 * c2 * c0 < 0:
+                assert cls.kind is TripleKind.NEVER_COLLINEAR
 
 
 class TestCountAndGroups:
@@ -377,23 +450,6 @@ def assert_oracle_agrees(scene):
     ), where
 
 
-def assert_grid_scenes_agree(rng, count, coord):
-    """assert_oracle_agrees on count valid scenes of 4 to 7 points, each
-    coordinate drawn by coord()."""
-    checked = 0
-    while checked < count:
-        points = [
-            KineticPoint.make(f"p{i}", (coord(), coord()), (coord(), coord()))
-            for i in range(rng.randint(4, 7))
-        ]
-        try:
-            scene = Scene(points)
-        except SceneError:
-            continue
-        assert_oracle_agrees(scene)
-        checked += 1
-
-
 class TestBruteForceOracle:
     def test_cap_enforced(self):
         scene = gen_random(9, 1)
@@ -429,17 +485,15 @@ class TestBruteForceOracle:
         # velocities and always-collinear groups crossed by a mover
         rng = random.Random(2011)
         grid = range(-2, 3)
-        assert_grid_scenes_agree(rng, 60, lambda: rng.choice(grid))
+        for scene in grid_scenes(rng, 60, lambda: rng.choice(grid)):
+            assert_oracle_agrees(scene)
 
     def test_mixed_denominator_grid_scenes_agree(self):
         # coordinates from {-2..2}/{1,2,3}: the points of one time bucket
         # have different homogeneous denominators, so their positions meet
         # only over the bucket's common denominator
-        rng = random.Random(2012)
-        grid = range(-2, 3)
-        assert_grid_scenes_agree(
-            rng, 30, lambda: Fraction(rng.choice(grid), rng.choice((1, 2, 3)))
-        )
+        for scene in mixed_denominator_grid_scenes(30, 2012):
+            assert_oracle_agrees(scene)
 
     def test_quadratic_times_agree(self):
         # events at irrational times must match across both implementations
@@ -493,6 +547,31 @@ class TestMetamorphic:
             scene, lambda p: p.pos, lambda p: (p.vel[0] + wx, p.vel[1] + wy)
         )
         assert events_to_json(enumerate_events(boosted)) == events_to_json(
+            enumerate_events(scene)
+        )
+
+    @pytest.mark.parametrize(
+        "matrix, offset",
+        [
+            (((F(2, 3), F(-1, 5)), (F(1, 7), F(3, 2))), (F(-4, 9), F(5, 2))),
+            (((F(1, 2), F(3)), (F(5, 4), F(-2, 3))), (F(7, 11), F(-1, 6))),
+        ],
+        ids=["det-positive", "det-negative"],
+    )
+    def test_affine_map_keeps_listing(self, name, matrix, offset):
+        # an invertible affine map of the plane, applied at every time,
+        # keeps collinearity and coincidence, so members, anchors, flags
+        # and times all stay
+        scene = METAMORPHIC_SCENES[name]()
+        (m00, m01), (m10, m11) = matrix
+        assert m00 * m11 - m01 * m10 != 0
+        bx, by = offset
+        mapped = moved(
+            scene,
+            lambda p: (m00 * p.pos[0] + m01 * p.pos[1] + bx, m10 * p.pos[0] + m11 * p.pos[1] + by),
+            lambda p: (m00 * p.vel[0] + m01 * p.vel[1], m10 * p.vel[0] + m11 * p.vel[1]),
+        )
+        assert events_to_json(enumerate_events(mapped)) == events_to_json(
             enumerate_events(scene)
         )
 
