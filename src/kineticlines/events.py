@@ -44,10 +44,9 @@ from .kinematics import (
     KineticPoint,
     Scene,
     TimeLike,
-    TripleKind,
-    classify_triple,
     triple_polynomials,
-    # unused here; bench/tracing.py wraps this module attribute
+    # unused here; bench/tracing.py wraps these module attributes
+    classify_triple,  # noqa: F401
     position_at,  # noqa: F401
 )
 
@@ -94,19 +93,6 @@ class CollinearityEvent:
             "tangential": self.tangential,
             "contains_subcollision": self.contains_subcollision,
         }
-
-
-def _event_order(e1: CollinearityEvent, e2: CollinearityEvent) -> int:
-    c = compare_times(e1.time, e2.time)
-    if c:
-        return c
-    if e1.members == e2.members:
-        return 0
-    return -1 if e1.members < e2.members else 1
-
-
-def _sorted_events(events: Iterable[CollinearityEvent]) -> list[CollinearityEvent]:
-    return sorted(events, key=cmp_to_key(_event_order))
 
 
 _Root = tuple[tuple[KineticPoint, KineticPoint, KineticPoint], bool]
@@ -232,6 +218,14 @@ def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, i
     members, and no members coincide. A rational bucket finds its
     coincident pairs once, from integer positions.
 
+    One triple: a bucket at an irrational time with a single root triple
+    is one event of exactly those three points. By completeness a fourth
+    point on their line would put a second root triple into the bucket,
+    and a double root, like a collision, falls at a rational time, so the
+    event is not tangential. It is emitted as it is, or dropped when
+    k_min >= 4, with no union-find; only the other buckets reach
+    _bucket_events.
+
     Incidences: a member triple that is not always collinear is collinear
     at t, so it is a root triple of the bucket. One with a distinct pair
     belongs to its own component's event only; a coincident one to every
@@ -250,6 +244,12 @@ def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, i
     events: list[CollinearityEvent] = []
     incidences = 0
     for t in sorted_times(buckets):
+        if t.q and len(buckets[t]) == 1:
+            if k_min == 3:
+                members = tuple(sorted(pt.id for pt in buckets[t][0][0]))
+                events.append(CollinearityEvent(t, members, 3, members[:2], False, False))
+                incidences += 1
+            continue
         at_t, count = _bucket_events(t, buckets[t], k_min)
         events += at_t
         incidences += count
@@ -280,8 +280,8 @@ def always_collinear_groups(scene: Scene) -> list[tuple[str, ...]]:
     """
     links = [
         [(a.id, b.id), (a.id, c.id), (b.id, c.id)]
-        for a, b, c in combinations(scene.points, 3)
-        if classify_triple(a, b, c).kind is TripleKind.ALWAYS_COLLINEAR
+        for a, b, c, c2, c1, c0 in triple_polynomials(scene.points)
+        if c2 == c1 == c0 == 0
     ]
     return sorted(
         tuple(sorted({pid for i in component for pair in links[i] for pid in pair}))
@@ -357,6 +357,19 @@ def audit_bounds(scene: Scene, k: int) -> BoundAudit:
 # above or the kinematics helpers: triple polynomials come from orientation
 # samples at three times, positions and orientations are recomputed locally,
 # and member sets are grown from anchor pairs per candidate time.
+
+
+def _event_order(e1: CollinearityEvent, e2: CollinearityEvent) -> int:
+    c = compare_times(e1.time, e2.time)
+    if c:
+        return c
+    if e1.members == e2.members:
+        return 0
+    return -1 if e1.members < e2.members else 1
+
+
+def _sorted_events(events: Iterable[CollinearityEvent]) -> list[CollinearityEvent]:
+    return sorted(events, key=cmp_to_key(_event_order))
 
 
 def _bf_static_orientation(

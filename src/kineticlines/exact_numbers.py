@@ -92,58 +92,45 @@ def _surd_sign(p: int, q: int, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _primes_up_to() -> tuple[int, ...]:
+def _primorial() -> int:
+    """The product of the primes up to SQUAREFREE_TRIAL_BOUND."""
     bound = SQUAREFREE_TRIAL_BOUND
     sieve = bytearray([1]) * (bound + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, bound + 1, p)))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
-
-
-@lru_cache(maxsize=None)
-def _primorial() -> int:
-    return math.prod(_primes_up_to())
+    return math.prod(i for i, flag in enumerate(sieve) if flag)
 
 
 def square_reduce(n: int) -> tuple[int, int]:
     """Write n > 0 as m*m*d, pulling every found square factor into m.
 
-    Trial division covers primes up to SQUAREFREE_TRIAL_BOUND, then the
-    remaining cofactor is tested for being a perfect square. A square
+    The primes up to SQUAREFREE_TRIAL_BOUND are split out by gcds, then
+    the remaining cofactor is tested for being a perfect square. A square
     factor built entirely from primes above the bound stays inside d, so d
     need not be squarefree. Canonical keys do not need it to be: they rest
     on AlgebraicTime.make, the only caller, reducing an integer that
     depends only on the value, and on the reduction being a fixed function
     of that integer.
 
-    The primes up to the bound that divide n are found at once, as the
-    factors of gcd(n, product of those primes). That gcd is squarefree,
-    so once p*p exceeds what is left of it, the rest is 1 or a prime.
+    g = gcd(n, product of those primes) is the product of the small primes
+    that divide n, and each level divides them out once more: at level j,
+    g holds the primes whose exponent is at least 2j - 1, h those whose
+    exponent is at least 2j. The primes of g // h have odd exponent 2j - 1
+    and go into d once; the primes of h give one more factor of m.
     """
     if n <= 0:
         raise ValueError("square_reduce needs a positive integer")
-    g = math.gcd(n, _primorial())
-    factors = []
-    for p in _primes_up_to():
-        if p * p > g:
-            break
-        if g % p == 0:
-            g //= p
-            factors.append(p)
-    if g > 1:
-        factors.append(g)
     m, d, rest = 1, 1, n
-    for p in factors:
-        rest //= p
-        exp = 1
-        while rest % p == 0:
-            rest //= p
-            exp += 1
-        m *= p ** (exp // 2)
-        if exp % 2:
-            d *= p
+    g = math.gcd(n, _primorial())
+    while g > 1:
+        rest //= g
+        h = math.gcd(rest, g)
+        d *= g // h
+        rest //= h
+        m *= h
+        g = math.gcd(rest, h)
     if rest > 1:
         root = math.isqrt(rest)
         if root * root == rest:

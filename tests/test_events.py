@@ -203,6 +203,26 @@ class TestEnumerateEvents:
         assert only_k4 and all(e.k >= 4 for e in only_k4)
         with pytest.raises(ValueError):
             enumerate_events(scene, k_min=2)
+        rng = random.Random(2014)
+        grid = range(-2, 3)
+        scenes = [
+            *(build() for build in HAND_SCENES),
+            scene,
+            gen_random(12, 1),
+            *grid_scenes(rng, 20, lambda: rng.choice(grid)),
+        ]
+        for s in scenes:
+            everything = enumerate_events(s)
+            assert enumerate_events(s, 4) == [e for e in everything if e.k >= 4]
+
+    def test_one_triple_irrational_buckets_skip_bucket_events(self, monkeypatch):
+        # every bucket of the tight scenes holds one triple at an irrational
+        # time, so none of them may reach the union-find path
+        def refuse(*args):
+            raise AssertionError("_bucket_events called")
+
+        monkeypatch.setattr(kineticlines.events, "_bucket_events", refuse)
+        assert len(enumerate_events(gen_tight(8))) == 2 * math.comb(8, 3)
 
     def test_event_json_shape(self):
         e = enumerate_events(quadratic_pair_scene())[0]

@@ -104,6 +104,20 @@ class TestSquareReduce:
         for p in range(2, math.isqrt(d) + 1):
             assert d % (p * p) != 0
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            *(p**e for p in (2, 3, 9973) for e in range(1, 10)),
+            2**5 * 3**4 * 9973**3,
+            # a square cofactor above the bound beside small primes
+            2 * 10007**2,
+            6 * 10007**2 * 10009**2,
+            9967 * 9973,
+        ],
+    )
+    def test_gcd_levels_match_trial_division(self, n):
+        assert square_reduce(n) == trial_division_reduce(n)
+
     def test_perfect_squares_always_detected(self):
         big = (10**40 + 7) ** 2
         m, d = square_reduce(big)
