@@ -8,8 +8,11 @@ point on the line at that time.
 Enumeration is one pass over pivot fans (kinematics.triple_polynomials),
 which gives every triple's integer polynomial from differences computed
 once per pair. A triple with a negative discriminant is never collinear
-and is skipped there; every other root goes into a bucket keyed by its
-canonical time, so equal times meet in one bucket. Two points distinct
+and is skipped there; every other root goes into a bucket under its
+exact_numbers.root_keys key, so equal times meet in one bucket. A
+rational time is keyed by its lowest-terms integer pair (a square
+discriminant gives two of them from one isqrt, with no square_reduce),
+and each distinct one becomes one AlgebraicTime. Two points distinct
 at a time span one line there, so the events of a bucket are its root
 triples joined over their shared distinct pairs, by union-find;
 _assemble gives the argument that a component is exactly the points on
@@ -35,8 +38,10 @@ from typing import Iterable, Optional, Sequence
 
 from .exact_numbers import (
     AlgebraicTime,
+    RootKey,
     compare_times,
-    integer_roots,
+    key_time,
+    root_keys,
     solve_quadratic,
     sorted_times,
 )
@@ -148,7 +153,8 @@ def _bucket_events(
         a, b, c = ids = (pa.id, pb.id, pc.id)
         pairs = [(a, b), (a, c), (b, c)]
         if positions is not None:
-            pairs = [(u, v) for u, v in pairs if positions[u] != positions[v]]
+            qa, qb, qc = positions[a], positions[b], positions[c]
+            pairs = [pair for pair, apart in zip(pairs, (qa != qb, qa != qc, qb != qc)) if apart]
             if not pairs:
                 coincident.append(a)
                 continue
@@ -163,9 +169,11 @@ def _bucket_events(
         if positions is None:
             anchors, subcollision = members[:2], False
         else:
-            anchors = next(
-                (u, v) for u, v in combinations(members, 2) if positions[u] != positions[v]
-            )
+            anchors = members[:2]
+            if positions[anchors[0]] == positions[anchors[1]]:
+                anchors = next(
+                    (u, v) for u, v in combinations(members, 2) if positions[u] != positions[v]
+                )
             subcollision = len({positions[m] for m in members}) < len(members)
         events.append(
             CollinearityEvent(
@@ -191,11 +199,14 @@ def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, i
 
     One pass over the pivot fans of triple_polynomials, looked up on this
     module at call time, gives each triple's integer polynomial. A triple
-    with a negative discriminant is skipped before any call; integer_roots
+    with a negative discriminant is skipped before any call; root_keys
     reports the rest, counting an identically zero polynomial as an
     always-collinear triple and a double root as tangential. Each root
-    goes into a bucket keyed by its canonical time, and sorted_times
-    orders the buckets. Two points distinct at t span one line, so root
+    goes into a bucket under its key: the lowest-terms pair (num, den) of
+    a rational time, the canonical AlgebraicTime of an irrational one.
+    Equal times have equal keys, so each distinct rational time is turned
+    into one AlgebraicTime, not one per root, and sorted_times orders the
+    buckets. Two points distinct at t span one line, so root
     triples that share a pair distinct at t lie on one line. A bucket's
     events are its triples joined over such pairs: members are the union
     of their points, tangential the OR of their flags. A triple whose
@@ -231,16 +242,16 @@ def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, i
     belongs to its own component's event only; a coincident one to every
     event through its position.
     """
-    buckets: dict[AlgebraicTime, list[_Root]] = {}
+    by_key: dict[RootKey, list[_Root]] = {}
     always = 0
     for a, b, c, c2, c1, c0 in triple_polynomials(scene.points):
         if c1 * c1 - 4 * c2 * c0 < 0:
             continue
-        report = integer_roots(c2, c1, c0)
-        if report.identically_zero:
-            always += 1
-        for t in report.roots:
-            buckets.setdefault(t, []).append(((a, b, c), report.double_root))
+        keys, identically_zero, double_root = root_keys(c2, c1, c0)
+        always += identically_zero
+        for key in keys:
+            by_key.setdefault(key, []).append(((a, b, c), double_root))
+    buckets = {key_time(key): roots for key, roots in by_key.items()}
     events: list[CollinearityEvent] = []
     incidences = 0
     for t in sorted_times(buckets):

@@ -149,9 +149,10 @@ class AlgebraicTime:
     found in d are folded into q, and a zero q forces d == 0.
 
     Every time the engine produces is an output of `make` or of
-    `_rational_time`; the one exception, the lower of two irrational roots
-    in integer_roots, is the conjugate of a `make` output and canonical
-    with it. `from_rational` gives the same form as `_rational_time`. So
+    `key_time`, which builds a rational from its lowest-terms pair; the one
+    exception, the lower of two irrational roots in root_keys, is the
+    conjugate of a `make` output and canonical with it. `from_rational`
+    gives the same form as `key_time`. So
     equal values are equal objects with equal hashes, which event
     bucketing and dedup rely on; test_equal_values_share_canonical_key
     tests this invariant.
@@ -208,7 +209,7 @@ class AlgebraicTime:
         if d < 0:
             raise ValueError("radicand must be nonnegative")
         if q == 0 or d == 0:
-            return _rational_time(p, r)
+            return key_time(_lowest(p, r))
         if r < 0:
             p, q, r = -p, -q, -r
         square, rr = q * q * d, r * r
@@ -219,7 +220,7 @@ class AlgebraicTime:
         if q < 0:
             m = -m
         if dd == 1:
-            return _rational_time(p * den + m * r, r * den)
+            return key_time(_lowest(p * den + m * r, r * den))
         return _field_value(p * den, m * r, dd, r * den)
 
     @property
@@ -410,55 +411,80 @@ class QuadraticRootReport:
     double_root: bool
 
 
-def _rational_time(num: int, den: int) -> AlgebraicTime:
-    """Canonical num/den for integers with den != 0."""
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with a positive denominator, for den != 0."""
     if den < 0:
         num, den = -num, -den
     g = math.gcd(num, den)
-    return AlgebraicTime(num // g, 0, 0, den // g)
+    return num // g, den // g
 
 
 def _field_value(p: int, q: int, d: int, r: int) -> AlgebraicTime:
     """(p + q*sqrt(d))/r in lowest terms for r > 0 and an already reduced
     radicand d; the rational p/r when q == 0."""
     if q == 0:
-        return _rational_time(p, r)
+        return key_time(_lowest(p, r))
     g = math.gcd(p, q, r)
     return AlgebraicTime(p // g, q // g, d, r // g)
 
 
-_NO_ROOTS = QuadraticRootReport((), False, False)
-_IDENTICALLY_ZERO = QuadraticRootReport((), True, False)
+RootKey = Union[tuple[int, int], AlgebraicTime]
+
+# bit r of _SQm is set when r is a square mod m
+_SQ63, _SQ65, _SQ11 = (sum(1 << r for r in {i * i % m for i in range(m)}) for m in (63, 65, 11))
+
+
+def root_keys(c2: int, c1: int, c0: int) -> tuple[tuple[RootKey, ...], bool, bool]:
+    """Exact real roots of c2*t^2 + c1*t + c0 for integer coefficients, as
+    keys, ascending, each once; then the identically-zero and double-root
+    flags.
+
+    A rational root is keyed by its lowest-terms pair (num, den), den > 0,
+    an irrational root by its canonical AlgebraicTime; key_time turns
+    either into the time, and equal times have equal keys. Two distinct
+    roots (-c1 -+ s)/(2*c2), c2 > 0, are rational exactly when disc == s*s,
+    which residue tests and one isqrt decide, and then need no make call.
+    Otherwise make gives the larger root, and the smaller one is its
+    conjugate.
+    """
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return (), False, False
+    if c2 == 0:
+        if c1 == 0:
+            return (), c0 == 0, False
+        return (_lowest(-c0, c1),), False, False
+    if disc == 0:
+        return (_lowest(-c1, 2 * c2),), False, True
+    if c2 < 0:
+        c2, c1 = -c2, -c1
+    # a square is a square mod 63, 65 and 11; for evenly spread residues
+    # that rejects about 95% of non-squares before the isqrt (Cohen 1993,
+    # Algorithm 1.7.3), and s = 0 then fails the test below
+    s = 0
+    if _SQ63 >> disc % 63 & 1 and _SQ65 >> disc % 65 & 1 and _SQ11 >> disc % 11 & 1:
+        s = math.isqrt(disc)
+    if s * s == disc:
+        return (_lowest(-c1 - s, 2 * c2), _lowest(-c1 + s, 2 * c2)), False, False
+    # a non-square disc gives a non-square radical part, so hi is irrational
+    hi = AlgebraicTime.make(-c1, 1, disc, 2 * c2)
+    return (AlgebraicTime(hi.p, -hi.q, hi.d, hi.r), hi), False, False
+
+
+def key_time(key: RootKey) -> AlgebraicTime:
+    """The canonical AlgebraicTime of a root_keys key."""
+    if isinstance(key, AlgebraicTime):
+        return key
+    return AlgebraicTime(key[0], 0, 0, key[1])
 
 
 def integer_roots(c2: int, c1: int, c0: int) -> QuadraticRootReport:
     """Exact real roots of c2*t^2 + c1*t + c0 for integer coefficients,
-    ascending, each reported once.
-
-    Two distinct roots come from one AlgebraicTime.make call on the larger
-    root, (-c1 + sqrt(c1*c1 - 4*c2*c0))/(2*c2) with c2 > 0, so they are
-    canonical the way every other time is; make collapses it to a rational
-    exactly when the discriminant is a perfect square. The smaller root is
-    its conjugate, or -c1/c2 minus it when rational.
+    ascending, each reported once: the root_keys of the polynomial as
+    canonical times.
     """
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
-        return _NO_ROOTS
-    if c2 == 0:
-        if c1 == 0:
-            return _IDENTICALLY_ZERO if c0 == 0 else _NO_ROOTS
-        return QuadraticRootReport((_rational_time(-c0, c1),), False, False)
-    if disc == 0:
-        return QuadraticRootReport((_rational_time(-c1, 2 * c2),), False, True)
-    if c2 < 0:
-        c2, c1 = -c2, -c1
-    # roots (-c1 -+ sqrt(disc)) / (2*c2), and they sum to -c1/c2
-    hi = AlgebraicTime.make(-c1, 1, disc, 2 * c2)
-    if hi.is_rational:
-        lo = _rational_time(-c1 * hi.r - c2 * hi.p, c2 * hi.r)
-    else:
-        lo = AlgebraicTime(hi.p, -hi.q, hi.d, hi.r)
-    return QuadraticRootReport((lo, hi), False, False)
+    keys, identically_zero, double_root = root_keys(c2, c1, c0)
+    return QuadraticRootReport(tuple(map(key_time, keys)), identically_zero, double_root)
 
 
 def solve_quadratic(c2: RationalLike, c1: RationalLike, c0: RationalLike) -> QuadraticRootReport:

@@ -14,8 +14,11 @@ computed once, over D_a*D_b, and a triple (a, b, c) is one cross product
 of two stored differences. That is D_a**2*D_b*D_c times the rational
 determinant, a positive multiple, so its roots and signs are the same,
 and integer_roots finds them without building a Fraction. It is the one
-place the determinant is expanded; integer_collinearity_polynomial is
-its one-triple case.
+place the triple determinant is expanded for classification;
+integer_collinearity_polynomial is its one-triple case. The exception is
+surfaces.surface_of_pair, which expands the pair surface F(x, y, t) over
+Fraction for the surface geometry: F_ab evaluated along c's motion is the
+rational determinant of (a, b, c), but no event is found from it.
 """
 
 from __future__ import annotations

@@ -528,6 +528,28 @@ class TestBruteForceOracle:
         )
 
 
+class TestSampledRootOracle:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: gen_lower_bound(16, 4), lambda: gen_lower_bound(12, 4), lambda: gen_random(20, 1)],
+        ids=["lower_bound_16_4", "lower_bound_12_4", "random_20"],
+    )
+    def test_sampled_root_times_agree(self, build):
+        # times are drawn from every triple root, not from the events, so a
+        # time the enumerator drops whole is checked too, at n past the
+        # oracle's default cap
+        scene = build()
+        roots = list(
+            dict.fromkeys(
+                t for trio in combinations(scene.points, 3) for t in classify_triple(*trio).times
+            )
+        )
+        sample = random.Random(2011).sample(roots, min(10, len(roots)))
+        want = [e for e in enumerate_events(scene) if e.time in sample]
+        got = brute_force_events(scene, time_candidates=sample, max_points=len(scene))
+        assert serialized(got) == serialized(want)
+
+
 def moved(scene, pos_of, vel_of, id_of=lambda pid: pid):
     """The scene with every point's motion and id mapped."""
     return Scene(

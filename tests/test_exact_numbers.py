@@ -11,14 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kineticlines import exact_numbers
 from kineticlines.exact_numbers import (
     RATIONAL_DIGIT_LIMIT,
     SQUAREFREE_TRIAL_BOUND,
     AlgebraicTime,
     compare_times,
     evaluate_at_time,
+    integer_roots,
+    key_time,
     parse_rational,
     rational_str,
+    root_keys,
     solve_quadratic,
     sorted_times,
     square_reduce,
@@ -256,6 +260,99 @@ class TestSolveQuadratic:
         root = report.roots[1]
         sign, value = evaluate_at_time((F(1), F(0), -big), root)
         assert sign == 0 and value.is_zero()
+
+
+def make_roots(c2: int, c1: int, c0: int):
+    """Reference integer_roots: make on the larger root, then its conjugate,
+    or -c1/c2 minus it when make collapses it to a rational."""
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return (), False, False
+    if c2 == 0:
+        if c1 == 0:
+            return (), c0 == 0, False
+        return (AlgebraicTime.from_rational(F(-c0, c1)),), False, False
+    if disc == 0:
+        return (AlgebraicTime.from_rational(F(-c1, 2 * c2)),), False, True
+    if c2 < 0:
+        c2, c1 = -c2, -c1
+    hi = AlgebraicTime.make(-c1, 1, disc, 2 * c2)
+    if hi.is_rational:
+        lo = AlgebraicTime.from_rational(F(-c1, c2) - hi.as_fraction())
+    else:
+        lo = AlgebraicTime(hi.p, -hi.q, hi.d, hi.r)
+    return (lo, hi), False, False
+
+
+def assert_keys_match_make(c2: int, c1: int, c0: int):
+    keys, identically_zero, double_root = root_keys(c2, c1, c0)
+    report = integer_roots(c2, c1, c0)
+    want = make_roots(c2, c1, c0)
+    assert (report.roots, report.identically_zero, report.double_root) == want
+    assert (tuple(map(key_time, keys)), identically_zero, double_root) == want
+    for key in keys:
+        if isinstance(key, tuple):
+            # the dedup invariant: equal rational times, equal keys
+            num, den = key
+            assert den > 0 and math.gcd(num, den) == 1
+            t = AlgebraicTime.from_rational(F(num, den))
+            assert key_time(key) == t and hash(key_time(key)) == hash(t)
+        else:
+            assert not key.is_rational
+
+
+def square_products():
+    """s*(a*t - b)*(c*t - d) with s != 0: the discriminant is a square."""
+    small = st.integers(-10**6, 10**6)
+    return st.tuples(small, small, small, small, small.filter(bool)).map(
+        lambda v: (v[4] * v[0] * v[2], -v[4] * (v[0] * v[3] + v[1] * v[2]), v[4] * v[1] * v[3])
+    )
+
+
+class TestRootKeys:
+    @given(
+        st.one_of(st.integers(-10**6, 10**6), st.integers(-(2**80), 2**80)),
+        st.integers(-(10**6), 10**6),
+        st.integers(-(10**6), 10**6),
+    )
+    @settings(max_examples=300)
+    def test_random_coefficients_match_make(self, c2, c1, c0):
+        assert_keys_match_make(c2, c1, c0)
+
+    @given(square_products())
+    @settings(max_examples=300)
+    def test_square_discriminants_match_make(self, coeffs):
+        assert_keys_match_make(*coeffs)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (0, 3, -6),  # linear
+            (0, -4, 6),
+            (0, 7, 0),
+            (9, -12, 4),  # double roots
+            (-9, 12, -4),
+            (2, 0, 0),
+            (0, 0, 5),  # constant
+            (0, 0, -1),
+            (0, 0, 0),  # identically zero
+            (1, 0, 1),  # no real roots
+            (6, -5, 1),  # square discriminant, roots 1/3 and 1/2
+            (-6, 5, -1),
+            (1, -2, -1),  # irrational pair
+            (-1, 2, 1),
+        ],
+    )
+    def test_degenerate_cases_match_make(self, coeffs):
+        assert_keys_match_make(*coeffs)
+
+    def test_square_discriminant_skips_square_reduce(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("square_reduce called for a square discriminant")
+
+        monkeypatch.setattr(exact_numbers, "square_reduce", refuse)
+        assert root_keys(6, -5, 1) == (((1, 3), (1, 2)), False, False)
+        assert root_keys(-4, 0, 9 * 10007**2) == (((-3 * 10007, 2), (3 * 10007, 2)), False, False)
 
 
 class TestCompareTimes:
