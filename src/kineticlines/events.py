@@ -12,15 +12,16 @@ and is skipped there; every other root goes into a bucket under its
 exact_numbers.root_keys key, so equal times meet in one bucket. A
 rational time is keyed by its lowest-terms integer pair (a square
 discriminant gives two of them from one isqrt, with no square_reduce),
-and each distinct one becomes one AlgebraicTime. Two points distinct
-at a time span one line there, so the events of a bucket are its root
-triples joined over their shared distinct pairs, by union-find;
-_assemble gives the argument that a component is exactly the points on
-one line. Collision times are rational, so only a bucket at a rational
-time computes positions, as integers, to find which pairs coincide.
-Bucket times are sorted by exact_numbers.sorted_times, and events at one
-time by their member tuple. The same pass counts the triple incidences
-and the always-collinear triples that audit_bounds reports.
+and each distinct one becomes one AlgebraicTime. Collision times are
+rational, so only a rational bucket computes positions, as integers
+over one denominator, and it groups its root triples by the exact
+integer key of the line they lie on. Union-find over shared pairs
+serves only irrational buckets of two or more triples, where every pair
+is distinct, and always_collinear_groups. _assemble argues that a group
+is exactly the points on one line. Bucket times are sorted by
+exact_numbers.sorted_times, and events at one time by their member
+tuple. The same pass counts the triple incidences and the
+always-collinear triples that audit_bounds reports.
 
 brute_force_events re-derives the same list from scratch for small scenes
 and shares only the exact-number layer with the enumeration path, so the
@@ -131,63 +132,68 @@ def _components(links: Sequence[Sequence[tuple[str, str]]]) -> list[list[int]]:
     return list(components.values())
 
 
+def _line_key(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int, int]:
+    """The line through the distinct integer points p and q, as (dx, dy, c):
+    (dx, dy) is q - p over its gcd, signed so that dx > 0, or dx == 0 and
+    dy > 0, and every point (x, y) of the line has dx*y - dy*x == c."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    g = math.gcd(dx, dy) if dx > 0 or (dx == 0 and dy > 0) else -math.gcd(dx, dy)
+    dx, dy = dx // g, dy // g
+    return (dx, dy, dx * p[1] - dy * p[0])
+
+
 def _bucket_events(
     t: AlgebraicTime, roots: Sequence[_Root], k_min: int
 ) -> tuple[list[CollinearityEvent], int]:
     """The events at time t, ordered by member tuple, from the triples
     with a root at t, and their triple incidences; see _assemble."""
-    positions = None
-    if t.q == 0:
-        # integer positions at t = p/r over the one denominator r*lcm(D),
-        # so that coincidence is tuple equality
-        forms = {pt.id: pt.homogeneous for trio, _ in roots for pt in trio}
-        common = math.lcm(*(form[4] for form in forms.values()))
-        positions = {
-            pid: ((x * t.r + vx * t.p) * (common // den), (y * t.r + vy * t.p) * (common // den))
-            for pid, (x, y, vx, vy, den) in forms.items()
-        }
-    joined: list[tuple[tuple[str, str, str], bool]] = []
-    links: list[list[tuple[str, str]]] = []
-    coincident: list[str] = []
-    for (pa, pb, pc), tangential in roots:
-        a, b, c = ids = (pa.id, pb.id, pc.id)
-        pairs = [(a, b), (a, c), (b, c)]
-        if positions is not None:
-            qa, qb, qc = positions[a], positions[b], positions[c]
-            pairs = [pair for pair, apart in zip(pairs, (qa != qb, qa != qc, qb != qc)) if apart]
-            if not pairs:
-                coincident.append(a)
-                continue
-        joined.append((ids, tangential))
-        links.append(pairs)
     events = []
     incidences = 0
-    for component in _components(links):
-        members = tuple(sorted({pid for i in component for pid in joined[i][0]}))
-        if len(members) < k_min:
+    if t.q:
+        # every pair is distinct at an irrational time, and no root is double
+        trios = [(a.id, b.id, c.id) for (a, b, c), _ in roots]
+        for component in _components([[(a, b), (a, c), (b, c)] for a, b, c in trios]):
+            members = tuple(sorted({pid for i in component for pid in trios[i]}))
+            if len(members) >= k_min:
+                events.append(CollinearityEvent(t, members, len(members), members[:2], False, False))
+                incidences += len(component)
+        events.sort(key=lambda e: e.members)
+        return events, incidences
+    # integer positions at t = p/r over the one denominator r*lcm(D), so
+    # that coincidence is tuple equality and a line has an integer key
+    forms = {pt.id: pt.homogeneous for trio, _ in roots for pt in trio}
+    common = math.lcm(*(form[4] for form in forms.values()))
+    positions = {
+        pid: ((x * t.r + vx * t.p) * (common // den), (y * t.r + vy * t.p) * (common // den))
+        for pid, (x, y, vx, vy, den) in forms.items()
+    }
+    lines: dict[tuple[int, int, int], list] = {}
+    coincident: list[tuple[int, int]] = []
+    for (pa, pb, pc), tangential in roots:
+        qa, qb, qc = positions[pa.id], positions[pb.id], positions[pc.id]
+        q = qb if qb != qa else qc
+        if q == qa:
+            coincident.append(qa)
             continue
-        if positions is None:
-            anchors, subcollision = members[:2], False
-        else:
-            anchors = members[:2]
-            if positions[anchors[0]] == positions[anchors[1]]:
-                anchors = next(
-                    (u, v) for u, v in combinations(members, 2) if positions[u] != positions[v]
-                )
-            subcollision = len({positions[m] for m in members}) < len(members)
-        events.append(
-            CollinearityEvent(
-                time=t,
-                members=members,
-                k=len(members),
-                anchors=anchors,
-                tangential=any(joined[i][1] for i in component),
-                contains_subcollision=subcollision,
+        line = lines.setdefault(_line_key(qa, q), [set(), False, 0])
+        line[0].update((pa.id, pb.id, pc.id))
+        line[1] = line[1] or tangential
+        line[2] += 1
+    for (dx, dy, c), (ids, tangential, count) in lines.items():
+        if len(ids) < k_min:
+            continue
+        members = tuple(sorted(ids))
+        anchors = members[:2]
+        if positions[anchors[0]] == positions[anchors[1]]:
+            anchors = next(
+                (u, v) for u, v in combinations(members, 2) if positions[u] != positions[v]
             )
-        )
-        incidences += len(component)
-    # a coincident triple lies on every event line through its one position
-    incidences += sum(pid in e.members for pid in coincident for e in events)
+        subcollision = len({positions[m] for m in members}) < len(members)
+        events.append(CollinearityEvent(t, members, len(members), anchors, tangential, subcollision))
+        incidences += count
+        if coincident:
+            # a coincident triple lies on every event line through its one position
+            incidences += sum(dx * y - dy * x == c for x, y in coincident)
     events.sort(key=lambda e: e.members)
     return events, incidences
 
@@ -206,28 +212,36 @@ def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, i
     a rational time, the canonical AlgebraicTime of an irrational one.
     Equal times have equal keys, so each distinct rational time is turned
     into one AlgebraicTime, not one per root, and sorted_times orders the
-    buckets. Two points distinct at t span one line, so root
-    triples that share a pair distinct at t lie on one line. A bucket's
-    events are its triples joined over such pairs: members are the union
-    of their points, tangential the OR of their flags. A triple whose
-    points all coincide at t joins nothing.
+    buckets. Two points distinct at t span one line, and a root triple
+    with such a pair lies on that line only. An event is the points of
+    the root triples on one line: members are their union, tangential the
+    OR of their flags. A triple whose points all coincide at t joins
+    nothing.
+
+    A rational bucket keys each root triple by its line, from integer
+    positions over one denominator: P and Q are its first two points at
+    distinct positions, and the key is (dx, dy, dx*P.y - dy*P.x) with
+    (dx, dy) = (Q - P) / gcd, signed so that dx > 0, or dx == 0 and
+    dy > 0 (_line_key). Any two distinct points of a line give its one
+    key, so equal keys are exactly one line.
 
     Completeness: let S = (u, v, w) be a root triple, u and v distinct at
-    t, and x a point on its line at t, distinct from u there. Some triple
-    in S's component holds the pair (u, x): (u, v, x) if it is not always
+    t, and x a point on its line at t. Some root triple with a distinct
+    pair holds x, and so lies on that line: (u, v, x) if it is not always
     collinear, since a triple collinear at t that is not always collinear
     has a root there. Otherwise x moves on the line uv, so neither
-    (u, x, w) nor (v, x, w) is always collinear, or S would be. One of
-    them shares a distinct pair with S, and if only (v, x, w) does, then
-    w = u at t and the two share the distinct pair (x, w). Used from S to
-    each point of the line, then from the pair reached to another root
-    triple's distinct pair, this puts the whole line in one component.
+    (u, x, w) nor (v, x, w) is always collinear, or S would be. Both are
+    root triples, and x is distinct from u or from v at t, so one of them
+    has a distinct pair. The members of a line are therefore every point
+    on it at t.
 
     Irrational times need no positions: two distinct motions meet at most
     once, at a rational time (kinematics.collision_time), so at an
     irrational t every pair is distinct, the anchors are the first two
-    members, and no members coincide. A rational bucket finds its
-    coincident pairs once, from integer positions.
+    members, and no members coincide. Triples sharing a pair there share
+    its line, and the completeness step, taken from triple to triple,
+    joins a line's root triples through shared pairs, so its lines are
+    the union-find components (_components) over all three pairs.
 
     One triple: a bucket at an irrational time with a single root triple
     is one event of exactly those three points. By completeness a fourth
@@ -239,8 +253,8 @@ def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, i
 
     Incidences: a member triple that is not always collinear is collinear
     at t, so it is a root triple of the bucket. One with a distinct pair
-    belongs to its own component's event only; a coincident one to every
-    event through its position.
+    belongs to its own line's event only; a coincident one to every event
+    whose line equation its position satisfies.
     """
     by_key: dict[RootKey, list[_Root]] = {}
     always = 0

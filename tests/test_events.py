@@ -31,7 +31,9 @@ from kineticlines import (
     gen_random,
     gen_tight,
     position_at,
+    solve_quadratic,
 )
+from kineticlines.events import _bf_poly, _bucket_events, _line_key
 from kineticlines.exact_numbers import integer_roots
 from kineticlines.kinematics import triple_polynomials
 
@@ -217,7 +219,7 @@ class TestEnumerateEvents:
 
     def test_one_triple_irrational_buckets_skip_bucket_events(self, monkeypatch):
         # every bucket of the tight scenes holds one triple at an irrational
-        # time, so none of them may reach the union-find path
+        # time, so none of them may reach _bucket_events
         def refuse(*args):
             raise AssertionError("_bucket_events called")
 
@@ -297,24 +299,48 @@ class TestIncidenceIdentity:
             assert lhs == rhs
 
 
-def non_coincident_roots(scene):
-    """Pairs (triple, root) whose three points do not all coincide at the
-    root, counted from the triples alone."""
+def root_incidences(scene):
+    """The triple incidences, counted from the triples alone, through the
+    oracle's interpolated polynomial rather than the fan the enumerator
+    expands. A root whose three points do not all coincide there is one
+    member triple of exactly one event. One whose points all meet at X
+    is a member triple of every event line through X: one line per
+    direction from X to another point, unless its points are collinear
+    at every time."""
     count = 0
     for a, b, c in combinations(scene.points, 3):
-        for t in classify_triple(a, b, c).times:
+        for t in solve_quadratic(*_bf_poly(a, b, c)).roots:
             all_meet = t.is_rational and (
                 collision_time(a, b) == collision_time(a, c) == t.as_fraction()
             )
-            count += not all_meet
+            if not all_meet:
+                count += 1
+                continue
+            now = t.as_fraction()
+            at = {
+                p.id: (p.pos[0] + now * p.vel[0], p.pos[1] + now * p.vel[1])
+                for p in scene.points
+            }
+            x, y = at[a.id]
+            lines = {}
+            for p in scene.points:
+                dx, dy = at[p.id][0] - x, at[p.id][1] - y
+                if dx or dy:
+                    lines.setdefault(dy / dx if dx else None, []).append(p)
+            meet = [p for p in scene.points if at[p.id] == (x, y)]
+            count += sum(
+                any(any(_bf_poly(*trio)) for trio in combinations(meet + line, 3))
+                for line in lines.values()
+            )
     return count
 
 
 class TestDoubleCount:
     """The paper's double count behind 2*C(n,3): every root of a triple
     whose points do not all coincide there is one member triple of exactly
-    one event. A missing member, a split line or a merged line breaks it,
-    at sizes the oracle cannot reach."""
+    one event, and root_incidences also places the roots whose points
+    meet. A missing member, a split line or a merged line breaks it, at
+    sizes the oracle cannot reach."""
 
     @pytest.mark.parametrize(
         "build, expected",
@@ -322,12 +348,14 @@ class TestDoubleCount:
             (lambda: gen_random(40, 3), 15_703),
             (lambda: gen_lower_bound(40, 4), 4_000),
             (lambda: gen_tight(12), 440),
+            (lambda: gen_lower_bound(20, 4), 500),
+            (lambda: gen_lower_bound(12, 4), 388),
         ],
-        ids=["random40-3", "lower_bound40-4", "tight12"],
+        ids=["random40-3", "lower_bound40-4", "tight12", "lower_bound20-4", "lower_bound12-4"],
     )
     def test_roots_equal_triple_incidences(self, build, expected):
         scene = build()
-        assert non_coincident_roots(scene) == expected
+        assert root_incidences(scene) == expected
         assert audit_bounds(scene, 4).triple_incidences == expected
 
 
@@ -457,14 +485,14 @@ class TestAuditBounds:
 def assert_oracle_agrees(scene):
     """enumerate_events matches the oracle, and audit_bounds counts the
     oracle's events and their member triples that are not always
-    collinear."""
+    collinear, read from the oracle's own interpolated polynomials."""
     oracle = brute_force_events(scene)
     where = [(p.id, p.pos, p.vel) for p in scene.points]
     assert serialized(enumerate_events(scene)) == serialized(oracle), where
     audit = audit_bounds(scene, 3)
     assert audit.event_count_3 == len(oracle), where
     assert audit.triple_incidences == sum(
-        any(collinearity_polynomial(*(scene.point(m) for m in trio)))
+        any(_bf_poly(*(scene.point(m) for m in trio)))
         for e in oracle
         for trio in combinations(e.members, 3)
     ), where
@@ -526,6 +554,146 @@ class TestBruteForceOracle:
         assert serialized(brute_force_events(scene)) == serialized(
             enumerate_events(scene)
         )
+
+
+def meeting_scene():
+    """a, b, c and d meet at (1, 1) at t=2, where the lines to e, to f and
+    h, and to g cross: the four coincident triples lie on three events."""
+    return make_scene(
+        ("a", (-1, 1), (1, 0)),
+        ("b", (1, -1), (0, 1)),
+        ("c", (-1, -1), (1, 1)),
+        ("d", (3, 3), (-1, -1)),
+        ("e", (5, 1), (0, 0)),
+        ("f", (1, 5), (0, 0)),
+        ("g", (4, 4), (0, 0)),
+        ("h", (3, 7), (-1, -2)),
+    )
+
+
+def anchor_collision_scene():
+    """The two smallest ids, a and b, meet at (2, 0) at t=2, on the line
+    y=0 with c and d."""
+    return make_scene(
+        ("a", (0, 0), (1, 0)),
+        ("b", (2, 0), (0, 0)),
+        ("c", (4, 2), (0, -1)),
+        ("d", (-1, -4), (0, 2)),
+        ("e", (3, 5), (1, 1)),
+    )
+
+
+def crossed_column_scene():
+    """d and e meet at (0, 3) at t=1, on the static column x=0, which is
+    collinear at every time; the lines from there to f and to g cross
+    it."""
+    return make_scene(
+        ("a1", (0, 0), (0, 0)),
+        ("a2", (0, 1), (0, 0)),
+        ("a3", (0, 2), (0, 0)),
+        ("d", (-1, 3), (1, 0)),
+        ("e", (1, 4), (-1, -1)),
+        ("f", (2, 1), (0, 1)),
+        ("g", (-3, 0), (1, 1)),
+    )
+
+
+def rational_events(scene, t):
+    return [e for e in enumerate_events(scene) if e.time == AlgebraicTime.from_rational(t)]
+
+
+class TestLineKeyBuckets:
+    """A rational bucket groups its root triples by _line_key."""
+
+    def test_one_line_one_key(self):
+        # y = 2x + 1, through negative coordinates
+        line = [(0, 1), (1, 3), (-2, -3), (3, 7), (-5, -9)]
+        keys = {_line_key(p, q) for p, q in combinations(line, 2)}
+        keys |= {_line_key(q, p) for p, q in combinations(line, 2)}
+        assert keys == {(1, 2, 1)}
+        for p, q in combinations(line, 2):
+            dx, dy, c = _line_key(p, q)
+            assert all(dx * y - dy * x == c for x, y in line)
+
+    def test_parallel_and_reversed_lines(self):
+        assert _line_key((0, 1), (1, 3)) != _line_key((0, 3), (1, 5))
+        assert _line_key((0, 0), (-2, -4)) == _line_key((3, 6), (1, 2)) == (1, 2, 0)
+        assert _line_key((0, 0), (2, -4)) == (1, -2, 0) != _line_key((0, 0), (2, 4))
+
+    def test_vertical_and_horizontal(self):
+        assert _line_key((-4, 5), (-4, -1)) == _line_key((-4, -7), (-4, 0)) == (0, 1, 4)
+        assert _line_key((-4, 5), (-4, -1)) != _line_key((4, 5), (4, -1))
+        assert _line_key((6, -3), (-2, -3)) == _line_key((-9, -3), (0, -3)) == (1, 0, -3)
+        assert _line_key((6, -3), (-2, -3)) != _line_key((6, 3), (-2, 3))
+
+    def test_orders_and_pairs_meet_in_one_event(self):
+        # static points on y = 2x + 1 at t = 0; e sits on a, so the triple
+        # (e, a, b) reaches the line through its second distinct pair, and
+        # (f, g, h) lies on the parallel y = 2x + 3
+        scene = make_scene(
+            ("a", (0, 1), (0, 0)),
+            ("b", (1, 3), (0, 0)),
+            ("c", (-2, -3), (0, 0)),
+            ("d", (3, 7), (0, 0)),
+            ("e", (0, 1), (1, 0)),
+            ("f", (0, 3), (0, 0)),
+            ("g", (1, 5), (0, 0)),
+            ("h", (-1, 1), (0, 0)),
+        )
+        p = scene.point
+        trios = ["abc", "cba", "dca", "eab", "bde", "fgh", "hgf"]
+        roots = [((p(u), p(v), p(w)), False) for u, v, w in trios]
+        events, incidences = _bucket_events(AlgebraicTime.from_rational(0), roots, 3)
+        assert [(e.members, e.anchors, e.contains_subcollision) for e in events] == [
+            (("a", "b", "c", "d", "e"), ("a", "b"), True),
+            (("f", "g", "h"), ("f", "g"), False),
+        ]
+        assert incidences == len(trios)
+
+    def test_coincident_triples_on_every_line_through_their_point(self):
+        scene = meeting_scene()
+        at_two = rational_events(scene, 2)
+        assert [e.members for e in at_two] == [
+            ("a", "b", "c", "d", "e"),
+            ("a", "b", "c", "d", "f", "h"),
+            ("a", "b", "c", "d", "g"),
+        ]
+        assert all(e.contains_subcollision for e in at_two)
+        assert_oracle_agrees(scene)
+
+    def test_collision_of_the_two_smallest_members(self):
+        scene = anchor_collision_scene()
+        (e,) = [e for e in rational_events(scene, 2) if e.k == 4]
+        assert e.members == ("a", "b", "c", "d") and e.anchors == ("a", "c")
+        # (a, b, c) grazes y=0 as (2 - t)**2, so the event is tangential too
+        assert e.contains_subcollision and e.tangential
+        assert_oracle_agrees(scene)
+
+    def test_always_collinear_column_crossed_at_a_collision(self):
+        scene = crossed_column_scene()
+        assert always_collinear_groups(scene) == [("a1", "a2", "a3")]
+        assert [e.members for e in rational_events(scene, 1)] == [
+            ("a1", "a2", "a3", "d", "e"),
+            ("d", "e", "f"),
+            ("d", "e", "g"),
+        ]
+        assert_oracle_agrees(scene)
+
+    def test_seeded_unit_grid_scenes_agree(self):
+        # coordinates from {-1, 0, 1}: collisions at event times are common,
+        # and a seed that puts three points on two event lines is kept
+        rng = random.Random(2)
+        met = 0
+        for scene in grid_scenes(rng, 20, lambda: rng.choice((-1, 0, 1))):
+            assert_oracle_agrees(scene)
+            events = enumerate_events(scene)
+            for t in {e.time for e in events if not e.time.q}:
+                at = {p.id: position_at(p, t) for p in scene.points}
+                for spot in set(at.values()):
+                    meet = {pid for pid, q in at.items() if q == spot}
+                    lines = [e for e in events if e.time == t and meet <= set(e.members)]
+                    met += len(meet) >= 3 and len(lines) >= 2
+        assert met
 
 
 class TestSampledRootOracle:
