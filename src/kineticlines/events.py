@@ -5,23 +5,31 @@ points lie on the line, they do not all coincide, and the member set is
 not collinear at every time. Events are maximal: members are every scene
 point on the line at that time.
 
-Enumeration is one pass over pivot fans (kinematics.triple_polynomials),
-which gives every triple's integer polynomial from differences computed
-once per pair. A triple with a negative discriminant is never collinear
-and is skipped there; every other root goes into a bucket under its
+Enumeration is three layers: buckets, lines, events. _buckets makes one
+pass over pivot fans (kinematics.triple_polynomials), which gives every
+triple's integer polynomial from differences computed once per pair. A
+triple with a negative discriminant is never collinear and is skipped
+there; every other root goes into a bucket under its
 exact_numbers.root_keys key, so equal times meet in one bucket. A
 rational time is keyed by its lowest-terms integer pair (a square
-discriminant gives two of them from one isqrt, with no square_reduce),
-and each distinct one becomes one AlgebraicTime. Collision times are
-rational, so only a rational bucket computes positions, as integers
-over one denominator, and it groups its root triples by the exact
-integer key of the line they lie on. Union-find over shared pairs
-serves only irrational buckets of two or more triples, where every pair
-is distinct, and always_collinear_groups. _assemble argues that a group
-is exactly the points on one line. Bucket times are sorted by
-exact_numbers.sorted_times, and events at one time by their member
-tuple. The same pass counts the triple incidences and the
-always-collinear triples that audit_bounds reports.
+discriminant gives two of them from one isqrt, with no square_reduce).
+The same pass counts the always-collinear triples.
+
+_bucket_lines finds a bucket's lines, each with its member ids, its
+tangential flag and its triple incidences. Collision times are rational,
+so only a rational bucket computes positions, as integers over one
+denominator, and it groups its root triples by the exact integer key of
+the line they lie on. Union-find over shared pairs serves only
+irrational buckets of two or more triples, where every pair is distinct,
+and always_collinear_groups. _bucket_lines argues that a line's members
+are exactly the points on it.
+
+enumerate_events alone builds events: one AlgebraicTime per bucket,
+the bucket times sorted by exact_numbers.sorted_times, and at each time
+an event per line with its sorted members, anchors and flags, ordered by
+member tuple. audit_bounds and count_k_collinearities stop at lines: they
+count lines, members and incidences, with no time built, no sort and no
+event object.
 
 brute_force_events re-derives the same list from scratch for small scenes
 and shares only the exact-number layer with the enumeration path, so the
@@ -102,6 +110,8 @@ class CollinearityEvent:
 
 
 _Root = tuple[tuple[KineticPoint, KineticPoint, KineticPoint], bool]
+# a bucket's lines and positions, as _bucket_lines returns them
+_Lines = tuple[list[list], Optional[dict[str, tuple[int, int]]]]
 
 
 def _components(links: Sequence[Sequence[tuple[str, str]]]) -> list[list[int]]:
@@ -142,66 +152,9 @@ def _line_key(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int, int]:
     return (dx, dy, dx * p[1] - dy * p[0])
 
 
-def _bucket_events(
-    t: AlgebraicTime, roots: Sequence[_Root], k_min: int
-) -> tuple[list[CollinearityEvent], int]:
-    """The events at time t, ordered by member tuple, from the triples
-    with a root at t, and their triple incidences; see _assemble."""
-    events = []
-    incidences = 0
-    if t.q:
-        # every pair is distinct at an irrational time, and no root is double
-        trios = [(a.id, b.id, c.id) for (a, b, c), _ in roots]
-        for component in _components([[(a, b), (a, c), (b, c)] for a, b, c in trios]):
-            members = tuple(sorted({pid for i in component for pid in trios[i]}))
-            if len(members) >= k_min:
-                events.append(CollinearityEvent(t, members, len(members), members[:2], False, False))
-                incidences += len(component)
-        events.sort(key=lambda e: e.members)
-        return events, incidences
-    # integer positions at t = p/r over the one denominator r*lcm(D), so
-    # that coincidence is tuple equality and a line has an integer key
-    forms = {pt.id: pt.homogeneous for trio, _ in roots for pt in trio}
-    common = math.lcm(*(form[4] for form in forms.values()))
-    positions = {
-        pid: ((x * t.r + vx * t.p) * (common // den), (y * t.r + vy * t.p) * (common // den))
-        for pid, (x, y, vx, vy, den) in forms.items()
-    }
-    lines: dict[tuple[int, int, int], list] = {}
-    coincident: list[tuple[int, int]] = []
-    for (pa, pb, pc), tangential in roots:
-        qa, qb, qc = positions[pa.id], positions[pb.id], positions[pc.id]
-        q = qb if qb != qa else qc
-        if q == qa:
-            coincident.append(qa)
-            continue
-        line = lines.setdefault(_line_key(qa, q), [set(), False, 0])
-        line[0].update((pa.id, pb.id, pc.id))
-        line[1] = line[1] or tangential
-        line[2] += 1
-    for (dx, dy, c), (ids, tangential, count) in lines.items():
-        if len(ids) < k_min:
-            continue
-        members = tuple(sorted(ids))
-        anchors = members[:2]
-        if positions[anchors[0]] == positions[anchors[1]]:
-            anchors = next(
-                (u, v) for u, v in combinations(members, 2) if positions[u] != positions[v]
-            )
-        subcollision = len({positions[m] for m in members}) < len(members)
-        events.append(CollinearityEvent(t, members, len(members), anchors, tangential, subcollision))
-        incidences += count
-        if coincident:
-            # a coincident triple lies on every event line through its one position
-            incidences += sum(dx * y - dy * x == c for x, y in coincident)
-    events.sort(key=lambda e: e.members)
-    return events, incidences
-
-
-def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, int]:
-    """Every event with at least k_min members, sorted by time, then by
-    member tuple; also the triple incidences of those events and the
-    number of always-collinear triples, for audit_bounds.
+def _buckets(scene: Scene) -> tuple[dict[RootKey, list[_Root]], int]:
+    """Every triple root in a bucket under its root key, and the number
+    of always-collinear triples.
 
     One pass over the pivot fans of triple_polynomials, looked up on this
     module at call time, gives each triple's integer polynomial. A triple
@@ -210,13 +163,31 @@ def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, i
     always-collinear triple and a double root as tangential. Each root
     goes into a bucket under its key: the lowest-terms pair (num, den) of
     a rational time, the canonical AlgebraicTime of an irrational one.
-    Equal times have equal keys, so each distinct rational time is turned
-    into one AlgebraicTime, not one per root, and sorted_times orders the
-    buckets. Two points distinct at t span one line, and a root triple
-    with such a pair lies on that line only. An event is the points of
-    the root triples on one line: members are their union, tangential the
-    OR of their flags. A triple whose points all coincide at t joins
-    nothing.
+    Equal times have equal keys, so a bucket holds every root triple at
+    its time.
+    """
+    by_key: dict[RootKey, list[_Root]] = {}
+    always = 0
+    for a, b, c, c2, c1, c0 in triple_polynomials(scene.points):
+        if c1 * c1 - 4 * c2 * c0 < 0:
+            continue
+        keys, identically_zero, double_root = root_keys(c2, c1, c0)
+        always += identically_zero
+        for key in keys:
+            by_key.setdefault(key, []).append(((a, b, c), double_root))
+    return by_key, always
+
+
+def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
+    """The lines of the bucket at key, each as [member ids, tangential,
+    triple incidences], and the integer positions of the bucket's points
+    (None at an irrational time).
+
+    Two points distinct at t span one line, and a root triple with such a
+    pair lies on that line only. A line is the points of the root triples
+    on it: members are their union, tangential the OR of their flags. A
+    triple whose points all coincide at t joins no line. Every line has
+    at least three members and is one event.
 
     A rational bucket keys each root triple by its line, from integer
     positions over one denominator: P and Q are its first two points at
@@ -243,57 +214,108 @@ def _assemble(scene: Scene, k_min: int) -> tuple[list[CollinearityEvent], int, i
     joins a line's root triples through shared pairs, so its lines are
     the union-find components (_components) over all three pairs.
 
-    One triple: a bucket at an irrational time with a single root triple
-    is one event of exactly those three points. By completeness a fourth
-    point on their line would put a second root triple into the bucket,
-    and a double root, like a collision, falls at a rational time, so the
-    event is not tangential. It is emitted as it is, or dropped when
-    k_min >= 4, with no union-find; only the other buckets reach
-    _bucket_events.
+    One triple: a bucket with a single root triple never holds four
+    points on a line, since by completeness a fourth point on its line
+    would put a second root triple into the bucket. At an irrational time
+    it is one event of exactly those three points, and a double root,
+    like a collision, falls at a rational time, so the event is not
+    tangential; enumerate_events emits it and audit_bounds counts it as
+    it is, with no union-find, and neither passes it here. At k_min >= 4
+    enumerate_events drops every one-triple bucket, rational or not.
 
     Incidences: a member triple that is not always collinear is collinear
     at t, so it is a root triple of the bucket. One with a distinct pair
     belongs to its own line's event only; a coincident one to every event
     whose line equation its position satisfies.
     """
-    by_key: dict[RootKey, list[_Root]] = {}
-    always = 0
-    for a, b, c, c2, c1, c0 in triple_polynomials(scene.points):
-        if c1 * c1 - 4 * c2 * c0 < 0:
+    if isinstance(key, AlgebraicTime):
+        # every pair is distinct at an irrational time, and no root is double
+        trios = [(a.id, b.id, c.id) for (a, b, c), _ in roots]
+        components = _components([[(a, b), (a, c), (b, c)] for a, b, c in trios])
+        lines = [[{pid for i in comp for pid in trios[i]}, False, len(comp)] for comp in components]
+        return lines, None
+    # integer positions at t = num/den over the one denominator
+    # den*lcm(D), so that coincidence is tuple equality and a line has an
+    # integer key
+    num, den = key
+    forms = {pt.id: pt.homogeneous for trio, _ in roots for pt in trio}
+    common = math.lcm(*(form[4] for form in forms.values()))
+    positions = {
+        pid: ((x * den + vx * num) * (common // d), (y * den + vy * num) * (common // d))
+        for pid, (x, y, vx, vy, d) in forms.items()
+    }
+    lines: dict[tuple[int, int, int], list] = {}
+    coincident: list[tuple[int, int]] = []
+    for (pa, pb, pc), tangential in roots:
+        qa, qb, qc = positions[pa.id], positions[pb.id], positions[pc.id]
+        q = qb if qb != qa else qc
+        if q == qa:
+            coincident.append(qa)
             continue
-        keys, identically_zero, double_root = root_keys(c2, c1, c0)
-        always += identically_zero
-        for key in keys:
-            by_key.setdefault(key, []).append(((a, b, c), double_root))
-    buckets = {key_time(key): roots for key, roots in by_key.items()}
-    events: list[CollinearityEvent] = []
-    incidences = 0
-    for t in sorted_times(buckets):
-        if t.q and len(buckets[t]) == 1:
-            if k_min == 3:
-                members = tuple(sorted(pt.id for pt in buckets[t][0][0]))
-                events.append(CollinearityEvent(t, members, 3, members[:2], False, False))
-                incidences += 1
+        line = lines.setdefault(_line_key(qa, q), [set(), False, 0])
+        line[0].update((pa.id, pb.id, pc.id))
+        line[1] = line[1] or tangential
+        line[2] += 1
+    if coincident:
+        # a coincident triple lies on every line through its one position
+        for (dx, dy, c), line in lines.items():
+            line[2] += sum(dx * y - dy * x == c for x, y in coincident)
+    return list(lines.values()), positions
+
+
+def _line_events(t: AlgebraicTime, bucket: _Lines, k_min: int) -> list[CollinearityEvent]:
+    """The events at time t with at least k_min members, ordered by
+    member tuple, from the lines and positions that _bucket_lines gives."""
+    lines, positions = bucket
+    events = []
+    for ids, tangential, _ in lines:
+        if len(ids) < k_min:
             continue
-        at_t, count = _bucket_events(t, buckets[t], k_min)
-        events += at_t
-        incidences += count
-    return events, incidences, always
+        members = tuple(sorted(ids))
+        anchors = members[:2]
+        subcollision = False
+        if positions is not None:
+            if positions[anchors[0]] == positions[anchors[1]]:
+                anchors = next(
+                    (u, v) for u, v in combinations(members, 2) if positions[u] != positions[v]
+                )
+            subcollision = len({positions[m] for m in members}) < len(members)
+        events.append(CollinearityEvent(t, members, len(members), anchors, tangential, subcollision))
+    events.sort(key=lambda e: e.members)
+    return events
 
 
 def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     """All collinearity events with at least k_min members, sorted by time
-    (ties broken by the member tuple). Deterministic for a given scene."""
+    (ties broken by the member tuple). Deterministic for a given scene.
+
+    Each bucket of _buckets becomes one AlgebraicTime, so a rational time
+    is built once, not once per root, and sorted_times orders the
+    buckets. At k_min >= 4 a one-triple bucket holds no event (see
+    _bucket_lines) and is dropped before either step.
+    """
     if k_min < 3:
         raise ValueError("k_min must be at least 3")
-    return _assemble(scene, k_min)[0]
+    times = {
+        key_time(key): (key, roots)
+        for key, roots in _buckets(scene)[0].items()
+        if k_min == 3 or len(roots) > 1
+    }
+    events: list[CollinearityEvent] = []
+    for t in sorted_times(times):
+        key, roots = times[t]
+        if t.q and len(roots) == 1:
+            members = tuple(sorted(pt.id for pt in roots[0][0]))
+            events.append(CollinearityEvent(t, members, 3, members[:2], False, False))
+            continue
+        events += _line_events(t, _bucket_lines(key, roots), k_min)
+    return events
 
 
 def count_k_collinearities(scene: Scene, k: int) -> int:
-    """Number of events whose member count is at least k."""
-    if k < 3:
-        raise ValueError("k must be at least 3")
-    return len(enumerate_events(scene, k))
+    """Number of events whose member count is at least k, counted by
+    audit_bounds."""
+    return audit_bounds(scene, k).event_count
 
 
 def always_collinear_groups(scene: Scene) -> list[tuple[str, ...]]:
@@ -350,14 +372,30 @@ class BoundAudit:
 
 
 def audit_bounds(scene: Scene, k: int) -> BoundAudit:
-    """Enumerate and check the event counts against both ceilings, in the
-    one pass over the pivot fans that enumerate_events makes."""
+    """Count the events and check the counts against both ceilings.
+
+    The counts come from the lines of each bucket, in the one pass over
+    the pivot fans that enumerate_events makes, but with no event built:
+    no AlgebraicTime for a rational time, no sort, no member tuple,
+    anchors or flags.
+    """
     if k < 3:
         raise ValueError("k must be at least 3")
-    events, incidences, always = _assemble(scene, 3)
+    buckets, always = _buckets(scene)
+    count_3 = count_k = incidences = 0
+    for key, roots in buckets.items():
+        if len(roots) == 1 and isinstance(key, AlgebraicTime):
+            # one 3-event with one incidence (see _bucket_lines)
+            count_3 += 1
+            count_k += k == 3
+            incidences += 1
+            continue
+        lines, _ = _bucket_lines(key, roots)
+        count_3 += len(lines)
+        for ids, _, count in lines:
+            count_k += len(ids) >= k
+            incidences += count
     n = len(scene)
-    count_3 = len(events)
-    count_k = sum(1 for e in events if e.k >= k)
     bound_3 = 2 * math.comb(n, 3)
     bound_k = (2 * math.comb(n, 3)) // math.comb(k, 3)
     # a group exists exactly when some triple is always collinear

@@ -33,7 +33,7 @@ from kineticlines import (
     position_at,
     solve_quadratic,
 )
-from kineticlines.events import _bf_poly, _bucket_events, _line_key
+from kineticlines.events import _bf_poly, _bucket_lines, _line_events, _line_key
 from kineticlines.exact_numbers import integer_roots
 from kineticlines.kinematics import triple_polynomials
 
@@ -210,6 +210,8 @@ class TestEnumerateEvents:
         scenes = [
             *(build() for build in HAND_SCENES),
             scene,
+            gen_lower_bound(20, 4),
+            gen_lower_bound(12, 4),
             gen_random(12, 1),
             *grid_scenes(rng, 20, lambda: rng.choice(grid)),
         ]
@@ -219,12 +221,32 @@ class TestEnumerateEvents:
 
     def test_one_triple_irrational_buckets_skip_bucket_events(self, monkeypatch):
         # every bucket of the tight scenes holds one triple at an irrational
-        # time, so none of them may reach _bucket_events
+        # time, so none of them may reach _bucket_lines, on either path
         def refuse(*args):
-            raise AssertionError("_bucket_events called")
+            raise AssertionError("_bucket_lines called")
 
-        monkeypatch.setattr(kineticlines.events, "_bucket_events", refuse)
+        monkeypatch.setattr(kineticlines.events, "_bucket_lines", refuse)
         assert len(enumerate_events(gen_tight(8))) == 2 * math.comb(8, 3)
+        audit = audit_bounds(gen_tight(8), 3)
+        assert audit.event_count == audit.event_count_3 == audit.triple_incidences == 112
+
+    def test_k4_sorts_no_time(self, monkeypatch):
+        # at k_min >= 4 every one-triple bucket, here all of them, is
+        # dropped before its time is built or sorted
+        sorted_sizes = []
+        original = kineticlines.events.sorted_times
+
+        def recording(times):
+            sorted_sizes.append(len(times))
+            return original(times)
+
+        def refuse(key):
+            raise AssertionError("key_time called")
+
+        monkeypatch.setattr(kineticlines.events, "sorted_times", recording)
+        monkeypatch.setattr(kineticlines.events, "key_time", refuse)
+        assert enumerate_events(gen_tight(8), 4) == []
+        assert sum(sorted_sizes) == 0
 
     def test_event_json_shape(self):
         e = enumerate_events(quadratic_pair_scene())[0]
@@ -474,6 +496,18 @@ class TestAuditBounds:
         assert audit.event_count == 44
         assert audit.event_count_3 == 124
 
+    def test_no_event_built(self, monkeypatch):
+        # audit_bounds counts lines: it builds no event, no time and no sort
+        scenes = [gen_lower_bound(16, 4), gen_tight(8), *(build() for build in HAND_SCENES)]
+        want = [[audit_bounds(s, k) for k in (3, 4)] for s in scenes]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("event path called")
+
+        for name in ("CollinearityEvent", "key_time", "sorted_times"):
+            monkeypatch.setattr(kineticlines.events, name, refuse)
+        assert [[audit_bounds(s, k) for k in (3, 4)] for s in scenes] == want
+
     def test_json_shape(self):
         payload = audit_bounds(quadratic_pair_scene(), 3).to_json()
         assert payload["pass"] is True
@@ -491,6 +525,8 @@ def assert_oracle_agrees(scene):
     assert serialized(enumerate_events(scene)) == serialized(oracle), where
     audit = audit_bounds(scene, 3)
     assert audit.event_count_3 == len(oracle), where
+    k4 = sum(e.k >= 4 for e in oracle)
+    assert audit_bounds(scene, 4).event_count == count_k_collinearities(scene, 4) == k4, where
     assert audit.triple_incidences == sum(
         any(_bf_poly(*(scene.point(m) for m in trio)))
         for e in oracle
@@ -643,12 +679,13 @@ class TestLineKeyBuckets:
         p = scene.point
         trios = ["abc", "cba", "dca", "eab", "bde", "fgh", "hgf"]
         roots = [((p(u), p(v), p(w)), False) for u, v, w in trios]
-        events, incidences = _bucket_events(AlgebraicTime.from_rational(0), roots, 3)
+        lines, positions = _bucket_lines((0, 1), roots)
+        events = _line_events(AlgebraicTime.from_rational(0), (lines, positions), 3)
         assert [(e.members, e.anchors, e.contains_subcollision) for e in events] == [
             (("a", "b", "c", "d", "e"), ("a", "b"), True),
             (("f", "g", "h"), ("f", "g"), False),
         ]
-        assert incidences == len(trios)
+        assert sum(incidences for _, _, incidences in lines) == len(trios)
 
     def test_coincident_triples_on_every_line_through_their_point(self):
         scene = meeting_scene()

@@ -52,6 +52,7 @@ SCENE_DIGESTS = {
     "no_collinearity_distinct_12": "1f48e3bc72674c682ba0503483206b70e77c47daa7539d3d09ea8a1a1bb897cf",
 }
 
+AUDIT_DIGEST = "49ee7c8295212e07e14b99445afdf1c647a5284c1550213b7b30b206b3ee9b9d"
 GRID_SCENE_COUNT = 50
 GRID_DIGEST = "25396a611759a7ec31c905cc19ae91b31c4a57f6ad12304cc5d9e52ab6a6ddcd"
 RENDER_DIGEST = "06eb3ffe665dfb1473115b7c429ddb9a43c8e3af7a5cc221bbcf76a8d640182c"
@@ -103,6 +104,17 @@ def test_scene_output_pinned(name):
     h = hashlib.sha256()
     _update(h, SCENES[name]())
     assert h.hexdigest() == SCENE_DIGESTS[name]
+
+
+def test_audit_output_pinned():
+    # the audit counts lines apart from the event listing, so its JSON is
+    # pinned on its own, at three thresholds
+    h = hashlib.sha256()
+    for scene in [*(SCENES[name]() for name in sorted(SCENES)), gen_lower_bound(20, 4)]:
+        for k in (3, 4, 5):
+            h.update(json.dumps(audit_bounds(scene, k).to_json(), sort_keys=True).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == AUDIT_DIGEST
 
 
 def test_grid_scene_output_pinned():
