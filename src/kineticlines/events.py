@@ -10,10 +10,10 @@ pass over pivot fans (kinematics.triple_polynomials), which gives every
 triple's integer polynomial from differences computed once per pair. A
 triple with a negative discriminant is never collinear and is skipped
 there; every other root goes into a bucket under its
-exact_numbers.root_keys key, so equal times meet in one bucket. A
-rational time is keyed by its lowest-terms integer pair (a square
-discriminant gives two of them from one isqrt, with no square_reduce).
-The same pass counts the always-collinear triples.
+exact_numbers.root_keys key, so equal times meet in one bucket. A key is
+plain integers found with no factoring: a rational time's lowest-terms
+pair, or the sign e and the lowest-terms a and b of an irrational time
+a + e*sqrt(b). The same pass counts the always-collinear triples.
 
 _bucket_lines finds a bucket's lines, each with its member ids, its
 tangential flag and its triple incidences. Collision times are rational,
@@ -24,12 +24,13 @@ irrational buckets of two or more triples, where every pair is distinct,
 and always_collinear_groups. _bucket_lines argues that a line's members
 are exactly the points on it.
 
-enumerate_events alone builds events: one AlgebraicTime per bucket,
-the bucket times sorted by exact_numbers.sorted_times, and at each time
+enumerate_events alone builds events: the AlgebraicTimes of the buckets
+it keeps, from one exact_numbers.key_times call that reduces all their
+radicands at once, the bucket times sorted by sorted_times, and at each time
 an event per line with its sorted members, anchors and flags, ordered by
 member tuple. audit_bounds and count_k_collinearities stop at lines: they
-count lines, members and incidences, with no time built, no sort and no
-event object.
+count lines, members and incidences, with no time built, no radicand
+reduced, no sort and no event object.
 
 brute_force_events re-derives the same list from scratch for small scenes
 and shares only the exact-number layer with the enumeration path, so the
@@ -49,7 +50,7 @@ from .exact_numbers import (
     AlgebraicTime,
     RootKey,
     compare_times,
-    key_time,
+    key_times,
     root_keys,
     solve_quadratic,
     sorted_times,
@@ -161,10 +162,10 @@ def _buckets(scene: Scene) -> tuple[dict[RootKey, list[_Root]], int]:
     with a negative discriminant is skipped before any call; root_keys
     reports the rest, counting an identically zero polynomial as an
     always-collinear triple and a double root as tangential. Each root
-    goes into a bucket under its key: the lowest-terms pair (num, den) of
-    a rational time, the canonical AlgebraicTime of an irrational one.
-    Equal times have equal keys, so a bucket holds every root triple at
-    its time.
+    goes into a bucket under its key, plain integers: the lowest-terms
+    pair (num, den) of a rational time, (e, a_num, a_den, b_num, b_den)
+    for a + e*sqrt(b) at an irrational one. Equal times have equal
+    keys, so a bucket holds every root triple at its time.
     """
     by_key: dict[RootKey, list[_Root]] = {}
     always = 0
@@ -176,6 +177,20 @@ def _buckets(scene: Scene) -> tuple[dict[RootKey, list[_Root]], int]:
         for key in keys:
             by_key.setdefault(key, []).append(((a, b, c), double_root))
     return by_key, always
+
+
+def _meet(key: tuple[int, int], trio: Sequence[KineticPoint]) -> bool:
+    """Whether the points of trio all coincide at the rational time
+    num/den of key: a point's position is (X*den + VX*num, Y*den + VY*num)
+    over D*den, and two of them coincide when the cross products of
+    numerators and denominators agree."""
+    num, den = key
+    (x, y, vx, vy, d), *others = (pt.homogeneous for pt in trio)
+    px, py = x * den + vx * num, y * den + vy * num
+    return all(
+        (ox * den + ovx * num) * d == px * od and (oy * den + ovy * num) * d == py * od
+        for ox, oy, ovx, ovy, od in others
+    )
 
 
 def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
@@ -219,16 +234,19 @@ def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
     would put a second root triple into the bucket. At an irrational time
     it is one event of exactly those three points, and a double root,
     like a collision, falls at a rational time, so the event is not
-    tangential; enumerate_events emits it and audit_bounds counts it as
-    it is, with no union-find, and neither passes it here. At k_min >= 4
-    enumerate_events drops every one-triple bucket, rational or not.
+    tangential; enumerate_events emits it as it is, with no union-find,
+    and does not pass it here. At a rational time it is that one event
+    too, unless its three points coincide, and then it has no line;
+    audit_bounds counts every one-triple bucket so, with no call here.
+    At k_min >= 4 enumerate_events drops every one-triple bucket,
+    rational or not.
 
     Incidences: a member triple that is not always collinear is collinear
     at t, so it is a root triple of the bucket. One with a distinct pair
     belongs to its own line's event only; a coincident one to every event
     whose line equation its position satisfies.
     """
-    if isinstance(key, AlgebraicTime):
+    if len(key) > 2:
         # every pair is distinct at an irrational time, and no root is double
         trios = [(a.id, b.id, c.id) for (a, b, c), _ in roots]
         components = _components([[(a, b), (a, c), (b, c)] for a, b, c in trios])
@@ -289,18 +307,16 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     """All collinearity events with at least k_min members, sorted by time
     (ties broken by the member tuple). Deterministic for a given scene.
 
-    Each bucket of _buckets becomes one AlgebraicTime, so a rational time
-    is built once, not once per root, and sorted_times orders the
-    buckets. At k_min >= 4 a one-triple bucket holds no event (see
-    _bucket_lines) and is dropped before either step.
+    The kept buckets of _buckets become their AlgebraicTimes in one
+    key_times call, so a time is built once per bucket, not once per
+    root, and sorted_times orders the buckets. At k_min >= 4 a one-triple
+    bucket holds no event (see _bucket_lines) and is dropped before
+    either step.
     """
     if k_min < 3:
         raise ValueError("k_min must be at least 3")
-    times = {
-        key_time(key): (key, roots)
-        for key, roots in _buckets(scene)[0].items()
-        if k_min == 3 or len(roots) > 1
-    }
+    kept = [item for item in _buckets(scene)[0].items() if k_min == 3 or len(item[1]) > 1]
+    times = dict(zip(key_times([key for key, _ in kept]), kept))
     events: list[CollinearityEvent] = []
     for t in sorted_times(times):
         key, roots = times[t]
@@ -376,16 +392,19 @@ def audit_bounds(scene: Scene, k: int) -> BoundAudit:
 
     The counts come from the lines of each bucket, in the one pass over
     the pivot fans that enumerate_events makes, but with no event built:
-    no AlgebraicTime for a rational time, no sort, no member tuple,
-    anchors or flags.
+    no time, no sort, no member tuple, anchors or flags. A one-triple
+    bucket is one line of three members with one incidence (see
+    _bucket_lines), or no line when its three points meet at a rational
+    t, which their integer forms decide with no positions computed.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
     buckets, always = _buckets(scene)
     count_3 = count_k = incidences = 0
     for key, roots in buckets.items():
-        if len(roots) == 1 and isinstance(key, AlgebraicTime):
-            # one 3-event with one incidence (see _bucket_lines)
+        if len(roots) == 1:
+            if len(key) == 2 and _meet(key, roots[0][0]):
+                continue
             count_3 += 1
             count_k += k == 3
             incidences += 1

@@ -104,15 +104,21 @@ def _primorial() -> int:
 
 
 def square_reduce(n: int) -> tuple[int, int]:
-    """Write n > 0 as m*m*d, pulling every found square factor into m.
+    """Write n > 0 as m*m*d, pulling every found square factor into m:
+    the one-element case of square_reduce_all."""
+    return square_reduce_all([n])[0]
+
+
+def square_reduce_all(ns: Sequence[int]) -> list[tuple[int, int]]:
+    """square_reduce of each n in ns, in order; ValueError if some n <= 0.
 
     The primes up to SQUAREFREE_TRIAL_BOUND are split out by gcds, then
     the remaining cofactor is tested for being a perfect square. A square
     factor built entirely from primes above the bound stays inside d, so d
     need not be squarefree. Canonical keys do not need it to be: they rest
-    on AlgebraicTime.make, the only caller, reducing an integer that
-    depends only on the value, and on the reduction being a fixed function
-    of that integer.
+    on reducing an integer that depends only on the value, and on the
+    reduction being a fixed function of that integer, whatever batch it
+    comes in.
 
     g = gcd(n, product of those primes) is the product of the small primes
     that divide n, and each level divides them out once more: at level j,
@@ -120,24 +126,59 @@ def square_reduce(n: int) -> tuple[int, int]:
     exponent is at least 2j. The primes of g // h have odd exponent 2j - 1
     and go into d once; the primes of h give one more factor of m.
     """
-    if n <= 0:
+    if any(n <= 0 for n in ns):
         raise ValueError("square_reduce needs a positive integer")
-    m, d, rest = 1, 1, n
-    g = math.gcd(n, _primorial())
-    while g > 1:
-        rest //= g
-        h = math.gcd(rest, g)
-        d *= g // h
-        rest //= h
-        m *= h
-        g = math.gcd(rest, h)
-    if rest > 1:
-        root = math.isqrt(rest)
-        if root * root == rest:
-            m *= root
-        else:
-            d *= rest
-    return m, d
+    reduced = []
+    for n, g in zip(ns, _primorial_gcds(ns)):
+        m, d, rest = 1, 1, n
+        while g > 1:
+            rest //= g
+            h = math.gcd(rest, g)
+            d *= g // h
+            rest //= h
+            m *= h
+            g = math.gcd(rest, h)
+        if rest > 1:
+            root = math.isqrt(rest)
+            if root * root == rest:
+                m *= root
+            else:
+                d *= rest
+        reduced.append((m, d))
+    return reduced
+
+
+def _primorial_gcds(ns: Sequence[int]) -> list[int]:
+    """gcd(n, P) for each n in ns, P = _primorial().
+
+    P % n for one n costs a long division of P's ~14,000 bits. Instead
+    ns is cut into consecutive groups whose product just reaches P's bit
+    length, and each group takes one product tree and one remainder tree
+    (Bernstein, "How to find smooth parts of integers", 2004): P % x once
+    for the group's product x, then each node's remainder reduced modulo
+    its two children, down to P % n at the leaves, and gcd(n, P % n).
+    """
+    primorial = _primorial()
+    limit = primorial.bit_length()
+    gcds: list[int] = []
+    start = bits = 0
+    for stop, n in enumerate(ns, 1):
+        bits += n.bit_length()
+        if bits >= limit or stop == len(ns):
+            group = ns[start:stop]
+            # levels[0] is the group; each level above holds the products
+            # of adjacent pairs, an odd last node carried up as it is
+            levels = [group]
+            while len(levels[-1]) > 1:
+                below = levels[-1]
+                pairs = [x * y for x, y in zip(below[::2], below[1::2])]
+                levels.append(pairs + below[len(below) & ~1 :])
+            rems = [primorial % levels[-1][0]]
+            for level in reversed(levels[:-1]):
+                rems = [rems[i >> 1] % x for i, x in enumerate(level)]
+            gcds += map(math.gcd, group, rems)
+            start, bits = stop, 0
+    return gcds
 
 
 @dataclass(frozen=True)
@@ -149,13 +190,12 @@ class AlgebraicTime:
     found in d are folded into q, and a zero q forces d == 0.
 
     Every time the engine produces is an output of `make` or of
-    `key_time`, which builds a rational from its lowest-terms pair; the one
-    exception, the lower of two irrational roots in root_keys, is the
-    conjugate of a `make` output and canonical with it. `from_rational`
-    gives the same form as `key_time`. So
-    equal values are equal objects with equal hashes, which event
-    bucketing and dedup rely on; test_equal_values_share_canonical_key
-    tests this invariant.
+    `key_times`. Both build a rational from its lowest-terms pair, as
+    `from_rational` does, and both reduce an irrational value's radicand
+    from the same integer, the square of its radical part in lowest terms
+    as num*den, by the same square_reduce_all. So equal values are equal
+    objects with equal hashes, which event bucketing and dedup rely on;
+    test_equal_values_share_canonical_key tests this invariant.
 
     +, -, * work inside one quadratic field, with int and Fraction
     operands taken as rationals; operands with two different radicands
@@ -209,7 +249,7 @@ class AlgebraicTime:
         if d < 0:
             raise ValueError("radicand must be nonnegative")
         if q == 0 or d == 0:
-            return key_time(_lowest(p, r))
+            return _rational(p, r)
         if r < 0:
             p, q, r = -p, -q, -r
         square, rr = q * q * d, r * r
@@ -220,7 +260,7 @@ class AlgebraicTime:
         if q < 0:
             m = -m
         if dd == 1:
-            return key_time(_lowest(p * den + m * r, r * den))
+            return _rational(p * den + m * r, r * den)
         return _field_value(p * den, m * r, dd, r * den)
 
     @property
@@ -419,16 +459,24 @@ def _lowest(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
+def _rational(num: int, den: int) -> AlgebraicTime:
+    """The canonical time num/den, for den != 0."""
+    num, den = _lowest(num, den)
+    return AlgebraicTime(num, 0, 0, den)
+
+
 def _field_value(p: int, q: int, d: int, r: int) -> AlgebraicTime:
     """(p + q*sqrt(d))/r in lowest terms for r > 0 and an already reduced
     radicand d; the rational p/r when q == 0."""
     if q == 0:
-        return key_time(_lowest(p, r))
+        return _rational(p, r)
     g = math.gcd(p, q, r)
     return AlgebraicTime(p // g, q // g, d, r // g)
 
 
-RootKey = Union[tuple[int, int], AlgebraicTime]
+# (num, den) for a rational root, (e, a_num, a_den, b_num, b_den) for an
+# irrational one a + e*sqrt(b); see root_keys
+RootKey = tuple[int, ...]
 
 # bit r of _SQm is set when r is a square mod m
 _SQ63, _SQ65, _SQ11 = (sum(1 << r for r in {i * i % m for i in range(m)}) for m in (63, 65, 11))
@@ -439,13 +487,21 @@ def root_keys(c2: int, c1: int, c0: int) -> tuple[tuple[RootKey, ...], bool, boo
     keys, ascending, each once; then the identically-zero and double-root
     flags.
 
-    A rational root is keyed by its lowest-terms pair (num, den), den > 0,
-    an irrational root by its canonical AlgebraicTime; key_time turns
-    either into the time, and equal times have equal keys. Two distinct
-    roots (-c1 -+ s)/(2*c2), c2 > 0, are rational exactly when disc == s*s,
-    which residue tests and one isqrt decide, and then need no make call.
-    Otherwise make gives the larger root, and the smaller one is its
-    conjugate.
+    A key is plain integers, found with no factoring; key_times turns keys
+    into times. A rational root is keyed by its lowest-terms pair
+    (num, den), den > 0. Two distinct roots (-c1 -+ sqrt(disc))/(2*c2),
+    c2 > 0, are rational exactly when disc is a square, which residue
+    tests and one isqrt decide. Otherwise a root is a + e*sqrt(b) with
+    the sign e = -1 or 1, a = -c1/(2*c2) and b = disc/(4*c2*c2) a rational
+    non-square, and its key is (e, a_num, a_den, b_num, b_den) with a and
+    b in lowest terms: two gcds.
+
+    Equal times have equal keys. A rational and an irrational root differ
+    in value and in key length. If a + e*sqrt(b) == a' + e'*sqrt(b') with
+    both radical parts irrational, then e*sqrt(b) - e'*sqrt(b') is a
+    rational x; were x nonzero, squaring e*sqrt(b) = x + e'*sqrt(b') would
+    make sqrt(b') rational. So a == a' and e*sqrt(b) == e'*sqrt(b'), which
+    for b, b' > 0 gives e == e' and b == b', and lowest terms are unique.
     """
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
@@ -466,16 +522,45 @@ def root_keys(c2: int, c1: int, c0: int) -> tuple[tuple[RootKey, ...], bool, boo
         s = math.isqrt(disc)
     if s * s == disc:
         return (_lowest(-c1 - s, 2 * c2), _lowest(-c1 + s, 2 * c2)), False, False
-    # a non-square disc gives a non-square radical part, so hi is irrational
-    hi = AlgebraicTime.make(-c1, 1, disc, 2 * c2)
-    return (AlgebraicTime(hi.p, -hi.q, hi.d, hi.r), hi), False, False
+    two_c2 = 2 * c2
+    g = math.gcd(c1, two_c2)
+    a_num, a_den = -c1 // g, two_c2 // g
+    square = two_c2 * two_c2
+    g = math.gcd(disc, square)
+    b_num, b_den = disc // g, square // g
+    return ((-1, a_num, a_den, b_num, b_den), (1, a_num, a_den, b_num, b_den)), False, False
 
 
-def key_time(key: RootKey) -> AlgebraicTime:
-    """The canonical AlgebraicTime of a root_keys key."""
-    if isinstance(key, AlgebraicTime):
-        return key
-    return AlgebraicTime(key[0], 0, 0, key[1])
+def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
+    """The canonical AlgebraicTime of each root_keys key, in order.
+
+    A rational key (num, den) is the time num/den. An irrational key has
+    a + e*sqrt(b) = (a_num*b_den + e*m*a_den*sqrt(d))/(a_den*b_den) with
+    b_num*b_den = m*m*d, the integer that AlgebraicTime.make reduces for
+    the same value. The distinct radicands b_num*b_den of the batch are
+    reduced by one square_reduce_all call, and the two roots of a
+    conjugate pair, which share (a, b), are built from one reduction and
+    differ only in the sign of q. So each time is the one make gives.
+    """
+    # (a_num, a_den, b_num, b_den), the part of a key that a conjugate
+    # pair shares, mapped to the (p, q, d, r) of its root with e = 1
+    shared = dict.fromkeys(key[1:] for key in keys if len(key) > 2)
+    radicands = dict.fromkeys(b_num * b_den for _, _, b_num, b_den in shared)
+    reduced = dict(zip(radicands, square_reduce_all(list(radicands))))
+    for part in shared:
+        a_num, a_den, b_num, b_den = part
+        m, d = reduced[b_num * b_den]
+        p, q, r = a_num * b_den, m * a_den, a_den * b_den
+        g = math.gcd(p, q, r)
+        shared[part] = (p // g, q // g, d, r // g)
+    times = []
+    for key in keys:
+        if len(key) == 2:
+            times.append(AlgebraicTime(key[0], 0, 0, key[1]))
+        else:
+            p, q, d, r = shared[key[1:]]
+            times.append(AlgebraicTime(p, key[0] * q, d, r))
+    return times
 
 
 def integer_roots(c2: int, c1: int, c0: int) -> QuadraticRootReport:
@@ -484,7 +569,7 @@ def integer_roots(c2: int, c1: int, c0: int) -> QuadraticRootReport:
     canonical times.
     """
     keys, identically_zero, double_root = root_keys(c2, c1, c0)
-    return QuadraticRootReport(tuple(map(key_time, keys)), identically_zero, double_root)
+    return QuadraticRootReport(tuple(key_times(keys)), identically_zero, double_root)
 
 
 def solve_quadratic(c2: RationalLike, c1: RationalLike, c0: RationalLike) -> QuadraticRootReport:

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 import kineticlines.events
+import kineticlines.exact_numbers
 from kineticlines import (
     AlgebraicTime,
     CollinearityEvent,
@@ -40,6 +41,10 @@ from kineticlines.kinematics import triple_polynomials
 from conftest import make_scene, serialized
 
 F = Fraction
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called where no call is expected")
 
 
 def quadratic_pair_scene():
@@ -232,21 +237,22 @@ class TestEnumerateEvents:
 
     def test_k4_sorts_no_time(self, monkeypatch):
         # at k_min >= 4 every one-triple bucket, here all of them, is
-        # dropped before its time is built or sorted
-        sorted_sizes = []
-        original = kineticlines.events.sorted_times
+        # dropped before its time is built, reduced or sorted
+        def refuse_items(module, name):
+            original = getattr(module, name)
 
-        def recording(times):
-            sorted_sizes.append(len(times))
-            return original(times)
+            def refusing(items):
+                if items:
+                    raise AssertionError(f"{name} given {len(items)} items")
+                return original(items)
 
-        def refuse(key):
-            raise AssertionError("key_time called")
+            monkeypatch.setattr(module, name, refusing)
 
-        monkeypatch.setattr(kineticlines.events, "sorted_times", recording)
-        monkeypatch.setattr(kineticlines.events, "key_time", refuse)
+        refuse_items(kineticlines.events, "sorted_times")
+        refuse_items(kineticlines.events, "key_times")
+        refuse_items(kineticlines.exact_numbers, "square_reduce_all")
+        monkeypatch.setattr(kineticlines.exact_numbers, "square_reduce", refuse)
         assert enumerate_events(gen_tight(8), 4) == []
-        assert sum(sorted_sizes) == 0
 
     def test_event_json_shape(self):
         e = enumerate_events(quadratic_pair_scene())[0]
@@ -497,16 +503,44 @@ class TestAuditBounds:
         assert audit.event_count_3 == 124
 
     def test_no_event_built(self, monkeypatch):
-        # audit_bounds counts lines: it builds no event, no time and no sort
+        # audit_bounds counts lines: it builds no event, no time, no
+        # radicand reduction and no sort
         scenes = [gen_lower_bound(16, 4), gen_tight(8), *(build() for build in HAND_SCENES)]
         want = [[audit_bounds(s, k) for k in (3, 4)] for s in scenes]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("event path called")
-
-        for name in ("CollinearityEvent", "key_time", "sorted_times"):
+        for name in ("CollinearityEvent", "key_times", "sorted_times"):
             monkeypatch.setattr(kineticlines.events, name, refuse)
+        for name in ("square_reduce", "square_reduce_all"):
+            monkeypatch.setattr(kineticlines.exact_numbers, name, refuse)
+        monkeypatch.setattr(AlgebraicTime, "make", refuse)
         assert [[audit_bounds(s, k) for k in (3, 4)] for s in scenes] == want
+
+    def test_lone_triple_collision_is_no_line(self):
+        # a, b and c meet at the origin at t = 1, the one root triple of
+        # its bucket; any fourth point would add a root triple there
+        scene = make_scene(
+            ("a", (-1, 0), (1, 0)), ("b", (0, -1), (0, 1)), ("c", (-1, -1), (1, 1))
+        )
+        assert enumerate_events(scene) == brute_force_events(scene) == []
+        audit = audit_bounds(scene, 3)
+        assert audit.event_count_3 == audit.triple_incidences == 0
+
+    def test_no_square_reduce_call(self, monkeypatch):
+        # the traced run counts calls at this module attribute
+        scenes = [*(gen_random(12, seed) for seed in range(4)), gen_lower_bound(16, 4)]
+        calls = []
+        original = kineticlines.exact_numbers.square_reduce
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(kineticlines.exact_numbers, "square_reduce", counting)
+        for s in scenes:
+            audit_bounds(s, 3)
+        assert calls == []
+        enumerate_events(scenes[0])
+        AlgebraicTime.make(1, 1, 2, 1)
+        assert calls == [2]
 
     def test_json_shape(self):
         payload = audit_bounds(quadratic_pair_scene(), 3).to_json()

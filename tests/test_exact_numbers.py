@@ -19,13 +19,14 @@ from kineticlines.exact_numbers import (
     compare_times,
     evaluate_at_time,
     integer_roots,
-    key_time,
+    key_times,
     parse_rational,
     rational_str,
     root_keys,
     solve_quadratic,
     sorted_times,
     square_reduce,
+    square_reduce_all,
 )
 
 from conftest import rationals
@@ -126,6 +127,60 @@ class TestSquareReduce:
         big = (10**40 + 7) ** 2
         m, d = square_reduce(big)
         assert d == 1 and m == 10**40 + 7
+
+
+def radicand_batches():
+    """Lists of positive integers: small ones, ones with square factors
+    above the trial bound, and ones near the largest radicand a scene
+    within the digit limit can give, so that a batch can cross the group
+    size in few elements."""
+    big = 10 ** (64 * RATIONAL_DIGIT_LIMIT + 4)
+    factor = st.sampled_from([1, 4, 9973**2, 10007**2, 9967 * 10009**2, 2 * 3**5 * 10007**4])
+    plain = st.integers(min_value=1, max_value=2**200)
+    near_limit = st.integers(min_value=big // 1000, max_value=big)
+    n = st.builds(lambda v, f: v * f, st.one_of(plain, plain, near_limit), factor)
+    return st.lists(n, max_size=8)
+
+
+class TestSquareReduceAll:
+    """square_reduce_all is square_reduce element by element, whatever
+    the batch's order or grouping."""
+
+    def test_empty_and_one_element(self):
+        assert square_reduce_all([]) == []
+        for n in (1, 2, 12, 9973**3, 6 * 10007**2):
+            assert square_reduce_all([n]) == [square_reduce(n)] == [trial_division_reduce(n)]
+
+    @given(radicand_batches(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_trial_division_in_any_order_and_split(self, batch, rng):
+        want = [trial_division_reduce(n) for n in batch]
+        assert square_reduce_all(batch) == want
+        order = list(range(len(batch)))
+        rng.shuffle(order)
+        assert square_reduce_all([batch[i] for i in order]) == [want[i] for i in order]
+        cut = rng.randint(0, len(batch))
+        assert square_reduce_all(batch[:cut]) + square_reduce_all(batch[cut:]) == want
+
+    def test_duplicates_and_batches_crossing_the_group_size(self):
+        rng = random.Random(2004)
+        limit = exact_numbers._primorial().bit_length()
+        small = [rng.randrange(1, 2**90) * rng.choice([1, 9, 10007**2]) for _ in range(400)]
+        # 400 radicands of about 100 bits span several groups
+        assert sum(n.bit_length() for n in small) > 2 * limit
+        batch = small + small[::-1] + [small[0]] * 3
+        assert square_reduce_all(batch) == [trial_division_reduce(n) for n in batch]
+        near_limit = 10 ** (64 * RATIONAL_DIGIT_LIMIT + 4) - 1
+        for n in (near_limit, near_limit * 10007**2, near_limit * 2**7 * 9973**2):
+            want = trial_division_reduce(n)
+            assert square_reduce_all([n, 12, n]) == [want, (2, 3), want]
+
+    def test_nonpositive_anywhere_raises(self):
+        for batch in ([0], [-5], [12, 0, 3], [7, 9, -1]):
+            with pytest.raises(ValueError):
+                square_reduce_all(batch)
+        with pytest.raises(ValueError):
+            square_reduce(0)
 
 
 class TestAlgebraicTimeCanonicalForm:
@@ -289,16 +344,26 @@ def assert_keys_match_make(c2: int, c1: int, c0: int):
     report = integer_roots(c2, c1, c0)
     want = make_roots(c2, c1, c0)
     assert (report.roots, report.identically_zero, report.double_root) == want
-    assert (tuple(map(key_time, keys)), identically_zero, double_root) == want
+    assert (tuple(key_times(keys)), identically_zero, double_root) == want
+    # one key alone gives the time it gets beside its conjugate
+    assert tuple(key_times([key])[0] for key in keys) == want[0]
     for key in keys:
-        if isinstance(key, tuple):
-            # the dedup invariant: equal rational times, equal keys
+        # the dedup invariant: each key is the lowest-terms integers of
+        # its value, so equal times have equal keys
+        if len(key) == 2:
             num, den = key
             assert den > 0 and math.gcd(num, den) == 1
             t = AlgebraicTime.from_rational(F(num, den))
-            assert key_time(key) == t and hash(key_time(key)) == hash(t)
         else:
-            assert not key.is_rational
+            sign, a_num, a_den, b_num, b_den = key
+            assert sign in (-1, 1)
+            assert a_den > 0 and math.gcd(a_num, a_den) == 1
+            assert b_num > 0 and b_den > 0 and math.gcd(b_num, b_den) == 1
+            assert math.isqrt(b_num * b_den) ** 2 != b_num * b_den
+            # a + sign*sqrt(b) = (a_num*b_den + sign*a_den*sqrt(b_num*b_den))/(a_den*b_den)
+            t = AlgebraicTime.make(a_num * b_den, sign * a_den, b_num * b_den, a_den * b_den)
+            assert not t.is_rational
+        assert key_times([key]) == [t] and hash(key_times([key])[0]) == hash(t)
 
 
 def square_products():
@@ -345,6 +410,27 @@ class TestRootKeys:
     )
     def test_degenerate_cases_match_make(self, coeffs):
         assert_keys_match_make(*coeffs)
+
+    @given(
+        st.integers(-(10**6), 10**6),
+        st.integers(-(10**6), 10**6),
+        st.integers(-(10**6), 10**6),
+        st.one_of(st.integers(-50, 50), st.integers(-(2**70), 2**70)).filter(bool),
+    )
+    @settings(max_examples=300)
+    def test_proportional_polynomials_share_keys(self, c2, c1, c0, k):
+        assert root_keys(k * c2, k * c1, k * c0)[0] == root_keys(c2, c1, c0)[0]
+
+    @given(
+        st.lists(st.tuples(*[st.integers(-(10**4), 10**4)] * 3), max_size=40)
+    )
+    @settings(max_examples=100)
+    def test_key_times_matches_make_on_batches(self, polys):
+        # duplicates and conjugate pairs share reductions inside one batch
+        polys += polys[: len(polys) // 3]
+        keys = [key for coeffs in polys for key in root_keys(*coeffs)[0]]
+        assert key_times(keys) == [t for coeffs in polys for t in make_roots(*coeffs)[0]]
+        assert key_times(keys[::-1]) == key_times(keys)[::-1]
 
     def test_square_discriminant_skips_square_reduce(self, monkeypatch):
         def refuse(n):
