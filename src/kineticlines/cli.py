@@ -29,7 +29,7 @@ from .events import (
     count_k_collinearities,
     enumerate_events,
 )
-from .exact_numbers import rational_str
+from .exact_numbers import parse_rational, rational_str
 from .kinematics import SceneError
 from .render import render_at_events, render_scene
 from .sceneio import events_to_csv, events_to_json, load_scene, save_scene
@@ -53,7 +53,11 @@ def _cmd_generate(args) -> int:
         seed=args.seed,
         coord_bound=args.coord_bound,
     )
-    scene = params.build()
+    try:
+        scene = params.build()
+    except SceneError as exc:
+        # no input was read: an unbuildable scene comes from the arguments
+        raise ValueError(str(exc)) from exc
     save_scene(scene, args.output)
     print(f"{args.construction} n={len(scene)} -> {args.output}")
     return 0
@@ -129,13 +133,22 @@ def _cmd_render(args) -> int:
         svgs = render_scene(scene, args.times)
         names = [
             f"t{i:03d}_{t.numerator}_{t.denominator}.svg"
-            for i, t in enumerate(Fraction(t) for t in args.times)
+            for i, t in enumerate(args.times)
         ]
     for name, svg in zip(names, svgs):
         target = out_dir / name
         target.write_text(svg, encoding="utf-8")
         print(target)
     return 0
+
+
+def _time_arg(text: str) -> Fraction:
+    """A rational time from the command line, under the scene digit limit."""
+    try:
+        return parse_rational(text)
+    except (ValueError, OverflowError) as exc:
+        # argparse turns only ValueError and TypeError into usage errors
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -191,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene", help="scene JSON file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument(
-        "--times", nargs="+", type=Fraction, help="rational times, e.g. 0 1/2 -3"
+        "--times", nargs="+", type=_time_arg, help="rational times, e.g. 0 1/2 -3"
     )
     group.add_argument(
         "--at-events", action="store_true", help="one snapshot per event, at the event time"

@@ -254,9 +254,22 @@ def gen_lower_bound(n: int, k: int) -> Scene:
 def gen_random(n: int, seed: int, coord_bound: int = 100) -> Scene:
     """Seeded scene with coordinates num/den, |num| <= coord_bound and
     den <= 4. Motions (position, velocity) are redrawn on collision with
-    an earlier point's motion, so the scene is always valid."""
+    an earlier point's motion, so the scene is always valid. ValueError,
+    before anything is drawn, when coord_bound is negative or n exceeds
+    the number of distinct motions."""
     if n < 1:
         raise ValueError("n must be positive")
+    if coord_bound < 0:
+        raise ValueError("coord_bound must be non-negative")
+    # the distinct coordinates are 0 and +-p/q in lowest terms, 1 <= p <=
+    # coord_bound: any p for q = 1, odd p for q = 2 and 4, p prime to 3 for
+    # q = 3
+    b = coord_bound
+    motions = (1 + 2 * (b + 2 * ((b + 1) // 2) + b - b // 3)) ** 4
+    if n > motions:
+        raise ValueError(
+            f"n = {n} exceeds the {motions} distinct motions of coord_bound = {coord_bound}"
+        )
     rng = _random.Random(seed)
 
     def coord():

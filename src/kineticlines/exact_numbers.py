@@ -563,28 +563,19 @@ def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
     return times
 
 
-def integer_roots(c2: int, c1: int, c0: int) -> QuadraticRootReport:
-    """Exact real roots of c2*t^2 + c1*t + c0 for integer coefficients,
-    ascending, each reported once: the root_keys of the polynomial as
-    canonical times.
-    """
-    keys, identically_zero, double_root = root_keys(c2, c1, c0)
-    return QuadraticRootReport(tuple(key_times(keys)), identically_zero, double_root)
-
-
 def solve_quadratic(c2: RationalLike, c1: RationalLike, c0: RationalLike) -> QuadraticRootReport:
     """Exact real roots of c2*t^2 + c1*t + c0, ascending, each reported once.
 
     The coefficients are scaled by their positive common denominator,
-    which leaves the roots alone, and passed to integer_roots.
+    which leaves the roots alone; root_keys finds the roots of the integer
+    polynomial and key_times builds their canonical times.
     """
-    c2, c1, c0 = Fraction(c2), Fraction(c1), Fraction(c0)
-    scale = math.lcm(c2.denominator, c1.denominator, c0.denominator)
-    return integer_roots(
-        c2.numerator * (scale // c2.denominator),
-        c1.numerator * (scale // c1.denominator),
-        c0.numerator * (scale // c0.denominator),
+    coeffs = [Fraction(c) for c in (c2, c1, c0)]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    keys, identically_zero, double_root = root_keys(
+        *(c.numerator * (scale // c.denominator) for c in coeffs)
     )
+    return QuadraticRootReport(tuple(key_times(keys)), identically_zero, double_root)
 
 
 def evaluate_at_time(

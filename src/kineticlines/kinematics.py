@@ -13,9 +13,10 @@ fans: for each pivot a, the difference b - a to each later point is
 computed once, over D_a*D_b, and a triple (a, b, c) is one cross product
 of two stored differences. That is D_a**2*D_b*D_c times the rational
 determinant, a positive multiple, so its roots and signs are the same,
-and integer_roots finds them without building a Fraction. It is the one
-place the triple determinant is expanded for classification;
-integer_collinearity_polynomial is its one-triple case. The exception is
+and the event pipeline keys them with root_keys without building a
+Fraction. It is the one place the triple determinant is expanded:
+collinearity_polynomial is its one-triple case over Fraction, and
+classify_triple is solve_quadratic of that polynomial. The exception is
 surfaces.surface_of_pair, which expands the pair surface F(x, y, t) over
 Fraction for the surface geometry: F_ab evaluated along c's motion is the
 rational determinant of (a, b, c), but no event is found from it.
@@ -34,9 +35,7 @@ from .exact_numbers import (
     AlgebraicTime,
     RationalLike,
     check_digit_limit,
-    integer_roots,
-    # unused here; bench/tracing.py wraps this module attribute
-    solve_quadratic,  # noqa: F401
+    solve_quadratic,
 )
 
 Coord = tuple[Fraction, Fraction]
@@ -163,25 +162,18 @@ def triple_polynomials(
                 )
 
 
-def integer_collinearity_polynomial(
-    a: KineticPoint, b: KineticPoint, c: KineticPoint
-) -> tuple[int, int, int]:
-    """Integer (c2, c1, c0): D_a*D_b*D_c**2 times collinearity_polynomial.
-
-    The one-triple case of triple_polynomials with pivot c: the cross
-    product of a - c and b - c, which equals the determinant of (a, b, c)
-    because the cyclic order (c, a, b) keeps its sign.
-    """
-    _, _, _, c2, c1, c0 = next(triple_polynomials((c, a, b)))
-    return (c2, c1, c0)
-
-
 def collinearity_polynomial(
     a: KineticPoint, b: KineticPoint, c: KineticPoint
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (c2, c1, c0) of the triple's collinearity determinant."""
+    """Coefficients (c2, c1, c0) of the triple's collinearity determinant.
+
+    They are the integers of triple_polynomials with pivot c over
+    D_a*D_b*D_c**2: the cross product of a - c and b - c, which equals the
+    determinant of (a, b, c) because the cyclic order (c, a, b) keeps its
+    sign.
+    """
+    _, _, _, c2, c1, c0 = next(triple_polynomials((c, a, b)))
     scale = a.homogeneous[4] * b.homogeneous[4] * c.homogeneous[4] ** 2
-    c2, c1, c0 = integer_collinearity_polynomial(a, b, c)
     return (Fraction(c2, scale), Fraction(c1, scale), Fraction(c0, scale))
 
 
@@ -205,20 +197,19 @@ class TripleClassification:
     tangential: bool
 
 
-_NEVER_COLLINEAR = TripleClassification(TripleKind.NEVER_COLLINEAR, (), False)
-_ALWAYS_COLLINEAR = TripleClassification(TripleKind.ALWAYS_COLLINEAR, (), False)
-
-
 def classify_triple(
     a: KineticPoint, b: KineticPoint, c: KineticPoint
 ) -> TripleClassification:
-    """Classify a triple as always, sometimes, or never collinear."""
-    report = integer_roots(*integer_collinearity_polynomial(a, b, c))
+    """Classify a triple as always, sometimes, or never collinear, from the
+    real roots of its collinearity polynomial."""
+    report = solve_quadratic(*collinearity_polynomial(a, b, c))
     if report.roots:
-        return TripleClassification(TripleKind.COLLINEAR_AT, report.roots, report.double_root)
-    if report.identically_zero:
-        return _ALWAYS_COLLINEAR
-    return _NEVER_COLLINEAR
+        kind = TripleKind.COLLINEAR_AT
+    elif report.identically_zero:
+        kind = TripleKind.ALWAYS_COLLINEAR
+    else:
+        kind = TripleKind.NEVER_COLLINEAR
+    return TripleClassification(kind, report.roots, report.double_root)
 
 
 def collision_time(a: KineticPoint, b: KineticPoint) -> Optional[Fraction]:

@@ -93,6 +93,8 @@ def load_scene(path: Union[str, Path]) -> Scene:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SceneError(f"{path}: not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SceneError(f"{path}: not UTF-8 text: {exc}") from exc
     return scene_from_json(data)
 
 

@@ -60,6 +60,17 @@ class TestGenerate:
         assert "precision_bits must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unbuildable_scene_is_usage_error(self, tmp_path, capsys):
+        # no input is read, so a scene the arguments cannot build is bad usage
+        out = tmp_path / "s.json"
+        argv = ["generate", "--construction", "tight", "--n", "10", "-o", str(out)]
+        assert main(argv + ["--precision-bits", "0"]) == 2
+        assert "share position and velocity" in capsys.readouterr().err
+        argv = ["generate", "--construction", "random", "--n", "3", "-o", str(out)]
+        assert main(argv + ["--coord-bound", "-1"]) == 2
+        assert "coord_bound must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_construction_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--construction", "nope", "--n", "4", "-o", str(tmp_path / "x")])
@@ -107,6 +118,12 @@ class TestEvents:
         assert main(["events", str(path)]) == 2
         err = capsys.readouterr().err
         assert "id 'a'" in err and "'pos'" in err and "limit" in err
+
+    def test_non_utf8_scene_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["events", str(bad)]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["events", str(tmp_path / "absent.json")]) == 1
@@ -212,6 +229,17 @@ class TestRender:
         capsys.readouterr()
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["event000_k3.svg", "event001_k3.svg"]
+
+    def test_times_over_digit_limit_are_usage_errors(self, tmp_path, capsys):
+        # --times takes scene literals: the digit limit and exit 2 before any work
+        path = write_crossing_scene(tmp_path)
+        out_dir = tmp_path / "frames"
+        for literal in ("1e400", "1e-400", "1e3000000", "1/0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["render", str(path), "--times", literal, "-o", str(out_dir)])
+            assert exc.value.code == 2
+            assert "argument --times" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_times_and_at_events_exclusive(self, tmp_path):
         path = write_crossing_scene(tmp_path)

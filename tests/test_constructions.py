@@ -306,6 +306,18 @@ class TestRandom:
             scene = gen_random(5, seed, coord_bound=2)
             assert len(scene.points) == 5
 
+    def test_too_few_motions_rejected(self):
+        # refused before drawing: a coordinate set with fewer distinct
+        # motions than n would otherwise redraw forever
+        with pytest.raises(ValueError, match="coord_bound must be non-negative"):
+            gen_random(3, 0, coord_bound=-1)
+        with pytest.raises(ValueError, match="1 distinct motions"):
+            gen_random(2, 0, coord_bound=0)
+        # {0, +-1, +-1/2, +-1/3, +-1/4} per coordinate
+        with pytest.raises(ValueError, match="6561 distinct motions"):
+            gen_random(9**4 + 1, 0, coord_bound=1)
+        assert len(gen_random(1, 0, coord_bound=0)) == 1
+
     def test_bounds_hold(self):
         for seed in range(10):
             n = len(gen_random(6, seed).points)

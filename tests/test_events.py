@@ -35,7 +35,6 @@ from kineticlines import (
     solve_quadratic,
 )
 from kineticlines.events import _bf_poly, _bucket_lines, _line_events, _line_key
-from kineticlines.exact_numbers import integer_roots
 from kineticlines.kinematics import triple_polynomials
 
 from conftest import make_scene, serialized
@@ -426,7 +425,7 @@ class TestOneClassification:
     def test_fan_polynomials_match_classify_triple(self, scene):
         # each fan polynomial is D_a**2*D_b*D_c times the rational
         # determinant, here interpolated from its values at t = -1, 0, 1,
-        # and its integer_roots report classifies the triple
+        # and its solve_quadratic report classifies the triple
         def det(a, b, c, t):
             (ax, ay), (bx, by), (cx, cy) = (
                 (p.pos[0] + t * p.vel[0], p.pos[1] + t * p.vel[1]) for p in (a, b, c)
@@ -443,7 +442,7 @@ class TestOneClassification:
             assert collinearity_polynomial(a, b, c) == rational
             scale = a.homogeneous[4] ** 2 * b.homogeneous[4] * c.homogeneous[4]
             assert (c2, c1, c0) == tuple(scale * coeff for coeff in rational)
-            report = integer_roots(c2, c1, c0)
+            report = solve_quadratic(c2, c1, c0)
             cls = classify_triple(a, b, c)
             assert report.roots == cls.times
             assert report.double_root == cls.tangential

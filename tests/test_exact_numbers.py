@@ -18,7 +18,6 @@ from kineticlines.exact_numbers import (
     AlgebraicTime,
     compare_times,
     evaluate_at_time,
-    integer_roots,
     key_times,
     parse_rational,
     rational_str,
@@ -318,7 +317,7 @@ class TestSolveQuadratic:
 
 
 def make_roots(c2: int, c1: int, c0: int):
-    """Reference integer_roots: make on the larger root, then its conjugate,
+    """Reference solve_quadratic: make on the larger root, then its conjugate,
     or -c1/c2 minus it when make collapses it to a rational."""
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
@@ -341,7 +340,7 @@ def make_roots(c2: int, c1: int, c0: int):
 
 def assert_keys_match_make(c2: int, c1: int, c0: int):
     keys, identically_zero, double_root = root_keys(c2, c1, c0)
-    report = integer_roots(c2, c1, c0)
+    report = solve_quadratic(c2, c1, c0)
     want = make_roots(c2, c1, c0)
     assert (report.roots, report.identically_zero, report.double_root) == want
     assert (tuple(key_times(keys)), identically_zero, double_root) == want

@@ -120,6 +120,12 @@ class TestDiagnostics:
             with pytest.raises(SceneError, match=r"id 'a'.*'vel'.*limit"):
                 scene_from_json(doc)
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SceneError, match="not UTF-8"):
+            load_scene(path)
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"version": 1, "points": [')
