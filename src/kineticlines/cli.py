@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -89,10 +90,9 @@ def _cmd_pair_surface(args) -> int:
         raise ValueError(str(exc)) from exc
     surf = surface_of_pair(a, b)
     cls = classify_surface(a, b)
-    names = ("coeff_x", "coeff_xt", "coeff_y", "coeff_yt", "coeff_1", "coeff_t", "coeff_tt")
     payload = {
         "pair": [a.id, b.id],
-        "surface": dict(zip(names, map(rational_str, surf.coefficients()))),
+        "surface": {name: rational_str(v) for name, v in asdict(surf).items()},
         "kind": cls.kind.value,
         "plane": [rational_str(v) for v in cls.plane] if cls.plane is not None else None,
         "collision_time": (

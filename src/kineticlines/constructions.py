@@ -162,18 +162,24 @@ def _circle_param(i: int) -> tuple[Fraction, Fraction]:
     return x, y
 
 
-def gen_no_collinearity(n: int) -> Scene:
-    """Points on the unit circle rotating outward: position p, velocity p
-    turned a quarter turn, so |p + t v|^2 = 1 + t^2 for every point and
-    all n stay on a common circle at every time. No event ever occurs and
-    no two points ever meet."""
+def _circle_scene(construction: str, n: int, stretch: int) -> Scene:
+    """Points i = 1..n at _circle_param(i) = (x, y) with x stretched by
+    stretch: position (stretch*x, y), velocity (stretch*y, -x)."""
     if n < 1:
         raise ValueError("n must be positive")
     points = []
     for i in range(1, n + 1):
         x, y = _circle_param(i)
-        points.append(KineticPoint.make(f"p{i}", (x, y), (y, -x)))
-    return Scene(tuple(points), meta={"construction": "no_collinearity", "n": n})
+        points.append(KineticPoint.make(f"p{i}", (stretch * x, y), (stretch * y, -x)))
+    return Scene(tuple(points), meta={"construction": construction, "n": n})
+
+
+def gen_no_collinearity(n: int) -> Scene:
+    """Points on the unit circle rotating outward: position p, velocity p
+    turned a quarter turn, so |p + t v|^2 = 1 + t^2 for every point and
+    all n stay on a common circle at every time. No event ever occurs and
+    no two points ever meet."""
+    return _circle_scene("no_collinearity", n, 1)
 
 
 def gen_no_collinearity_distinct(n: int) -> Scene:
@@ -181,13 +187,7 @@ def gen_no_collinearity_distinct(n: int) -> Scene:
     points ride x^2/4 + y^2 = 1 + t^2. Speeds are pairwise distinct
     (|v|^2 = 1 + 3 y^2 with distinct y^2) and directions are pairwise
     non-parallel."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    points = []
-    for i in range(1, n + 1):
-        x, y = _circle_param(i)
-        points.append(KineticPoint.make(f"p{i}", (2 * x, y), (2 * y, -x)))
-    return Scene(tuple(points), meta={"construction": "no_collinearity_distinct", "n": n})
+    return _circle_scene("no_collinearity_distinct", n, 2)
 
 
 def gen_lower_bound(n: int, k: int) -> Scene:
@@ -291,14 +291,17 @@ def gen_random(n: int, seed: int, coord_bound: int = 100) -> Scene:
     )
 
 
-CONSTRUCTION_KINDS = (
-    "lower_bound",
-    "no_collinearity",
-    "no_collinearity_distinct",
-    "random",
-    "tight",
-    "tight_ellipse",
-)
+# each construction kind's builder from a ConstructionParams, in
+# alphabetical order of kind
+_BUILDERS = {
+    "lower_bound": lambda params: gen_lower_bound(params.n, params.k),
+    "no_collinearity": lambda params: gen_no_collinearity(params.n),
+    "no_collinearity_distinct": lambda params: gen_no_collinearity_distinct(params.n),
+    "random": lambda params: gen_random(params.n, params.seed, params.coord_bound),
+    "tight": lambda params: gen_tight(params.n, params.precision_bits),
+    "tight_ellipse": lambda params: gen_tight_ellipse(params.n, params.precision_bits),
+}
+CONSTRUCTION_KINDS = tuple(_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -328,18 +331,7 @@ class ConstructionParams:
             raise ValueError(f"construction {self.name!r} does not take k")
 
     def build(self) -> Scene:
-        if self.name == "tight":
-            return gen_tight(self.n, self.precision_bits)
-        if self.name == "tight_ellipse":
-            return gen_tight_ellipse(self.n, self.precision_bits)
-        if self.name == "no_collinearity":
-            return gen_no_collinearity(self.n)
-        if self.name == "no_collinearity_distinct":
-            return gen_no_collinearity_distinct(self.n)
-        if self.name == "lower_bound":
-            assert self.k is not None
-            return gen_lower_bound(self.n, self.k)
-        return gen_random(self.n, self.seed, self.coord_bound)
+        return _BUILDERS[self.name](self)
 
 
 @dataclass(frozen=True)
@@ -354,7 +346,12 @@ class TightCertificate:
     failing_triples: tuple[tuple[str, str, str], ...]
 
 
-def verify_tight_certificate(scene: Scene, big_time: int = 1 << 20) -> TightCertificate:
+# T of the tight certificate: each triple's two roots must lie in (-T, T),
+# so that at t = +-T the polynomial has the sign opposite to its sign at 0
+_CERTIFICATE_T = 1 << 20
+
+
+def verify_tight_certificate(scene: Scene) -> TightCertificate:
     order = scene.meta.get("order_by_angle")
     if scene.meta.get("construction") not in ("tight", "tight_ellipse") or not order:
         raise ValueError("scene was not produced by a tight construction")
@@ -364,8 +361,8 @@ def verify_tight_certificate(scene: Scene, big_time: int = 1 << 20) -> TightCert
     # the sign tests below do not depend on the polynomial's positive scale
     for a, b, c, c2, c1, c0 in triple_polynomials(pts):
         checked += 1
-        at_plus = (c2 * big_time + c1) * big_time + c0
-        at_minus = (c2 * big_time - c1) * big_time + c0
+        at_plus = (c2 * _CERTIFICATE_T + c1) * _CERTIFICATE_T + c0
+        at_minus = (c2 * _CERTIFICATE_T - c1) * _CERTIFICATE_T + c0
         ok = (
             c2 != 0
             and c0 != 0

@@ -26,7 +26,7 @@ are exactly the points on it.
 
 enumerate_events alone builds events: the AlgebraicTimes of the buckets
 it keeps, from one exact_numbers.key_times call that reduces all their
-radicands at once, the bucket times sorted by sorted_times, and at each time
+radicands at once, the bucket order from time_order, and at each time
 an event per line with its sorted members, anchors and flags, ordered by
 member tuple. audit_bounds and count_k_collinearities stop at lines: they
 count lines, members and incidences, with no time built, no radicand
@@ -40,7 +40,7 @@ two act as independent implementations of one contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
@@ -53,7 +53,7 @@ from .exact_numbers import (
     key_times,
     root_keys,
     solve_quadratic,
-    sorted_times,
+    time_order,
 )
 from .kinematics import (
     KineticPoint,
@@ -309,17 +309,17 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
 
     The kept buckets of _buckets become their AlgebraicTimes in one
     key_times call, so a time is built once per bucket, not once per
-    root, and sorted_times orders the buckets. At k_min >= 4 a one-triple
-    bucket holds no event (see _bucket_lines) and is dropped before
-    either step.
+    root, and time_order orders the buckets by index, with no time
+    hashed. At k_min >= 4 a one-triple bucket holds no event (see
+    _bucket_lines) and is dropped before either step.
     """
     if k_min < 3:
         raise ValueError("k_min must be at least 3")
     kept = [item for item in _buckets(scene)[0].items() if k_min == 3 or len(item[1]) > 1]
-    times = dict(zip(key_times([key for key, _ in kept]), kept))
+    times = key_times([key for key, _ in kept])
     events: list[CollinearityEvent] = []
-    for t in sorted_times(times):
-        key, roots = times[t]
+    for i in time_order(times):
+        t, (key, roots) = times[i], kept[i]
         if t.q and len(roots) == 1:
             members = tuple(sorted(pt.id for pt in roots[0][0]))
             events.append(CollinearityEvent(t, members, 3, members[:2], False, False))
@@ -374,17 +374,9 @@ class BoundAudit:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "event_count": self.event_count,
-            "event_count_3": self.event_count_3,
-            "triple_incidences": self.triple_incidences,
-            "bound_3": self.bound_3,
-            "bound_k": self.bound_k,
-            "no_three_always_collinear": self.no_three_always_collinear,
-            "pass": self.passed,
-        }
+        payload = asdict(self)
+        payload["pass"] = payload.pop("passed")
+        return payload
 
 
 def audit_bounds(scene: Scene, k: int) -> BoundAudit:

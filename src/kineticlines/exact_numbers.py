@@ -4,7 +4,7 @@ Every time value the engine produces is either a rational number or an
 element (p + q*sqrt(d))/r of a real quadratic field, held in a canonical
 integer form. Equality is a structural comparison of canonical forms.
 Order is the exact sign of a difference, found from integer products
-alone, so comparisons never touch floating point; sorted_times sorts
+alone, so comparisons never touch floating point; time_order orders
 many times at once.
 """
 
@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from functools import lru_cache
+from typing import Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -194,8 +194,10 @@ class AlgebraicTime:
     `from_rational` does, and both reduce an irrational value's radicand
     from the same integer, the square of its radical part in lowest terms
     as num*den, by the same square_reduce_all. So equal values are equal
-    objects with equal hashes, which event bucketing and dedup rely on;
-    test_equal_values_share_canonical_key tests this invariant.
+    objects with equal hashes, which the oracle's set of candidate times
+    and render's == on event times rely on; event bucketing keys roots by
+    root_keys and hashes no time. test_equal_values_share_canonical_key
+    tests this invariant.
 
     +, -, * work inside one quadratic field, with int and Fraction
     operands taken as rationals; operands with two different radicands
@@ -421,25 +423,26 @@ def compare_times(x: AlgebraicTime, y: AlgebraicTime) -> int:
     return su * _surd_sign(a * a + b * b * x.d - c * c * y.d, 2 * a * b, x.d)
 
 
-def sorted_times(times: Iterable[AlgebraicTime]) -> list[AlgebraicTime]:
-    """Times in exact ascending order.
+def time_order(times: Sequence[AlgebraicTime]) -> list[int]:
+    """The indices of times in exact ascending order of their times.
 
     Each time is keyed by its 64-bit interval bounds. Times whose
-    intervals are disjoint are ordered by the bounds alone; compare_times
-    runs only inside a run of overlapping intervals.
+    intervals are disjoint are ordered by the bounds alone; compare_times,
+    through AlgebraicTime.__lt__, runs only inside a run of overlapping
+    intervals.
     """
-    keyed = sorted(((t._bounds(64), t) for t in times), key=lambda item: item[0])
-    runs: list[list[AlgebraicTime]] = []
+    bounds = [t._bounds(64) for t in times]
+    runs: list[list[int]] = []
     run_hi = 0
-    for (lo, hi), t in keyed:
+    for i in sorted(range(len(times)), key=bounds.__getitem__):
+        lo, hi = bounds[i]
         if runs and lo <= run_hi:
-            runs[-1].append(t)
+            runs[-1].append(i)
             run_hi = max(run_hi, hi)
         else:
-            runs.append([t])
+            runs.append([i])
             run_hi = hi
-    order = cmp_to_key(compare_times)
-    return [t for run in runs for t in sorted(run, key=order)]
+    return [i for run in runs for i in sorted(run, key=times.__getitem__)]
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,8 @@ def render_scene(scene: Scene, times: Iterable[Fraction]) -> list[str]:
     """One SVG document per requested rational time, sharing one viewport
     computed from the positions at every requested time. Events at exactly
     those times are drawn as lines through their anchors."""
+    if not scene.points:
+        raise ValueError("scene has no points to render")
     times = [Fraction(t) for t in times]
     if not times:
         raise ValueError("at least one time is required")

@@ -95,6 +95,8 @@ def load_scene(path: Union[str, Path]) -> Scene:
         raise SceneError(f"{path}: not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SceneError(f"{path}: not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise SceneError(f"{path}: JSON nested too deeply to read") from exc
     return scene_from_json(data)
 
 
@@ -102,20 +104,29 @@ def events_to_json(events: Iterable[CollinearityEvent]) -> list[dict]:
     return [e.to_json() for e in events]
 
 
+def _csv_field(text: str) -> str:
+    """text as one RFC 4180 field: quoted, with each '"' doubled, when it
+    holds a ',', a '"', a newline or a carriage return; as it is otherwise."""
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def events_to_csv(events: Iterable[CollinearityEvent]) -> str:
+    """The header line, then one record per event, with members and
+    anchors as point ids joined by ';'. Fields are quoted where RFC 4180
+    needs it (_csv_field), so csv.reader splits every record into the
+    header's seven fields."""
     lines = [EVENTS_CSV_HEADER]
     for e in events:
-        lines.append(
-            ",".join(
-                (
-                    str(e.time),
-                    format(e.time.approx(), ".12g"),
-                    str(e.k),
-                    ";".join(e.members),
-                    ";".join(e.anchors),
-                    str(e.tangential).lower(),
-                    str(e.contains_subcollision).lower(),
-                )
-            )
+        fields = (
+            str(e.time),
+            format(e.time.approx(), ".12g"),
+            str(e.k),
+            ";".join(e.members),
+            ";".join(e.anchors),
+            str(e.tangential).lower(),
+            str(e.contains_subcollision).lower(),
         )
+        lines.append(",".join(map(_csv_field, fields)))
     return "\n".join(lines) + "\n"

@@ -128,6 +128,12 @@ class TestEvents:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["events", str(tmp_path / "absent.json")]) == 1
 
+    def test_deeply_nested_scene_exits_1(self, tmp_path, capsys):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100000)
+        assert main(["events", str(nested)]) == 1
+        assert "nested too deeply" in capsys.readouterr().err
+
 
 class TestCount:
     def test_bare_integer(self, tmp_path, capsys):
@@ -240,6 +246,12 @@ class TestRender:
             assert exc.value.code == 2
             assert "argument --times" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_empty_scene_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        save_scene(make_scene(), path)
+        assert main(["render", str(path), "--times", "0", "-o", str(tmp_path / "x")]) == 2
+        assert "scene has no points to render" in capsys.readouterr().err
 
     def test_times_and_at_events_exclusive(self, tmp_path):
         path = write_crossing_scene(tmp_path)

@@ -26,6 +26,7 @@ from kineticlines import (
     scene_to_json,
     verify_tight_certificate,
 )
+from kineticlines.constructions import CONSTRUCTION_KINDS
 
 F = Fraction
 
@@ -51,6 +52,22 @@ class TestParams:
         assert len(scene.points) == 4
         lower = ConstructionParams(name="lower_bound", n=16, k=4).build()
         assert lower.meta["regime"] == "two_line"
+        # every kind builds what its generator builds, with the settings
+        # that the kind takes passed through and the others ignored
+        direct = {
+            "lower_bound": (9, 3, gen_lower_bound(9, 3)),
+            "no_collinearity": (6, None, gen_no_collinearity(6)),
+            "no_collinearity_distinct": (6, None, gen_no_collinearity_distinct(6)),
+            "random": (6, None, gen_random(6, 9, 7)),
+            "tight": (5, None, gen_tight(5, 12)),
+            "tight_ellipse": (5, None, gen_tight_ellipse(5, 12)),
+        }
+        assert tuple(direct) == CONSTRUCTION_KINDS
+        for name, (n, k, scene) in direct.items():
+            params = ConstructionParams(
+                name=name, n=n, k=k, precision_bits=12, seed=9, coord_bound=7
+            )
+            assert params.build() == scene
 
 
 class TestTight:

@@ -247,11 +247,19 @@ class TestEnumerateEvents:
 
             monkeypatch.setattr(module, name, refusing)
 
-        refuse_items(kineticlines.events, "sorted_times")
+        refuse_items(kineticlines.events, "time_order")
         refuse_items(kineticlines.events, "key_times")
         refuse_items(kineticlines.exact_numbers, "square_reduce_all")
         monkeypatch.setattr(kineticlines.exact_numbers, "square_reduce", refuse)
         assert enumerate_events(gen_tight(8), 4) == []
+
+    def test_no_time_hashed(self, monkeypatch):
+        # buckets are keyed by root keys and walked by time index, so the
+        # event path never hashes an AlgebraicTime
+        scenes = [gen_random(10, 1), gen_tight(6), gen_lower_bound(16, 4)]
+        want = [enumerate_events(scene) for scene in scenes]
+        monkeypatch.setattr(AlgebraicTime, "__hash__", refuse)
+        assert [enumerate_events(scene) for scene in scenes] == want
 
     def test_event_json_shape(self):
         e = enumerate_events(quadratic_pair_scene())[0]
@@ -506,7 +514,7 @@ class TestAuditBounds:
         # radicand reduction and no sort
         scenes = [gen_lower_bound(16, 4), gen_tight(8), *(build() for build in HAND_SCENES)]
         want = [[audit_bounds(s, k) for k in (3, 4)] for s in scenes]
-        for name in ("CollinearityEvent", "key_times", "sorted_times"):
+        for name in ("CollinearityEvent", "key_times", "time_order"):
             monkeypatch.setattr(kineticlines.events, name, refuse)
         for name in ("square_reduce", "square_reduce_all"):
             monkeypatch.setattr(kineticlines.exact_numbers, name, refuse)

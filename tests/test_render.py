@@ -74,6 +74,10 @@ class TestRenderScene:
         with pytest.raises(ValueError, match="at least one time"):
             render_scene(crossing_scene(), [])
 
+    def test_empty_scene_rejected(self):
+        with pytest.raises(ValueError, match="scene has no points to render"):
+            render_scene(make_scene(), [F(0)])
+
     def test_titles_carry_times(self):
         docs = render_scene(crossing_scene(), [F(1, 3)])
         assert "t = 1/3" in docs[0]

@@ -1,5 +1,7 @@
 """Scene file round trips, load diagnostics, and event listings."""
 
+import csv
+import io
 import json
 import random
 from fractions import Fraction
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import given
 
 from kineticlines import (
+    KineticPoint,
+    Scene,
     SceneError,
     enumerate_events,
     events_to_csv,
@@ -132,6 +136,12 @@ class TestDiagnostics:
         with pytest.raises(SceneError, match="not valid JSON"):
             load_scene(path)
 
+    def test_deeply_nested_file(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000)
+        with pytest.raises(SceneError, match="nested too deeply"):
+            load_scene(path)
+
 
 class TestDigitLimit:
     def scene_at_limit(self):
@@ -202,3 +212,23 @@ class TestEventListings:
 
     def test_csv_empty(self):
         assert events_to_csv([]) == EVENTS_CSV_HEADER + "\n"
+
+    def test_csv_quotes_ids_that_need_it(self):
+        # one such id per scene, so no other character forces its quotes
+        for odd in ("a,b", "c\nd", 'e"f', '"g', "h\ri"):
+            ids = [odd, "p2", "p3", "p4", "p5"]
+            scene = Scene(
+                tuple(
+                    KineticPoint.make(pid, p.pos, p.vel)
+                    for pid, p in zip(ids, gen_random(5, 0).points)
+                )
+            )
+            events = enumerate_events(scene)
+            assert any(odd in e.members for e in events)
+            rows = list(csv.reader(io.StringIO(events_to_csv(events), newline="")))
+            assert rows[0] == EVENTS_CSV_HEADER.split(",")
+            assert len(rows) == len(events) + 1
+            for row, e in zip(rows[1:], events):
+                assert len(row) == 7
+                assert row[0] == str(e.time) and row[2] == str(e.k)
+                assert row[3] == ";".join(e.members) and row[4] == ";".join(e.anchors)
