@@ -124,8 +124,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     scene = load_scene(args.scene)
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.at_events:
         events, svgs = render_at_events(scene, args.kmin)
         names = [f"event{i:03d}_k{e.k}.svg" for i, e in enumerate(events)]
@@ -135,6 +133,9 @@ def _cmd_render(args) -> int:
             f"t{i:03d}_{t.numerator}_{t.denominator}.svg"
             for i, t in enumerate(args.times)
         ]
+    # rendered first, so a render that fails leaves no directory behind
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, svg in zip(names, svgs):
         target = out_dir / name
         target.write_text(svg, encoding="utf-8")

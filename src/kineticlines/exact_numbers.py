@@ -16,6 +16,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
+__all__ = [
+    "AlgebraicTime",
+    "QuadraticRootReport",
+    "compare_times",
+    "evaluate_at_time",
+    "parse_rational",
+    "rational_str",
+    "solve_quadratic",
+    "square_reduce",
+]
+
 RationalLike = Union[int, str, Fraction]
 
 # Trial division bound used when splitting square factors out of a radicand.

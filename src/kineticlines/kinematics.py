@@ -38,6 +38,19 @@ from .exact_numbers import (
     solve_quadratic,
 )
 
+__all__ = [
+    "KineticPoint",
+    "Scene",
+    "SceneError",
+    "TripleClassification",
+    "TripleKind",
+    "classify_triple",
+    "collinearity_polynomial",
+    "collision_time",
+    "position_at",
+    "position_at_rational",
+]
+
 Coord = tuple[Fraction, Fraction]
 TimeLike = Union[AlgebraicTime, Fraction, int]
 

@@ -38,6 +38,13 @@ def _fmt(value: float) -> str:
     return "0.0000" if out == "-0.0000" else out
 
 
+def _escape(text: str) -> str:
+    """text as XML character data, as xml.sax.saxutils.escape writes it;
+    importing that module would pull urllib.request into every import of
+    the package."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 @dataclass
 class _Frame:
     title: str
@@ -162,7 +169,7 @@ def _frame_svg(frame: _Frame, view: _Viewport, velocities: dict) -> str:
         parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(DOT_RADIUS)}" fill="#202020"/>')
         parts.append(
             f'<text x="{_fmt(cx + 5)}" y="{_fmt(cy - 5)}" font-size="10"'
-            f' font-family="monospace">{pid}</text>'
+            f' font-family="monospace">{_escape(pid)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -104,27 +104,34 @@ def events_to_json(events: Iterable[CollinearityEvent]) -> list[dict]:
     return [e.to_json() for e in events]
 
 
-def _csv_field(text: str) -> str:
+def _csv_field(text: str, delimiter: str = ",") -> str:
     """text as one RFC 4180 field: quoted, with each '"' doubled, when it
-    holds a ',', a '"', a newline or a carriage return; as it is otherwise."""
-    if any(c in text for c in ',"\n\r'):
+    holds the delimiter, a '"', a newline or a carriage return; as it is
+    otherwise."""
+    if any(c in text for c in delimiter + '"\n\r'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
+def _id_record(ids: Iterable[str]) -> str:
+    """Point ids as one RFC 4180 record with ';' as the delimiter."""
+    return ";".join(_csv_field(pid, ";") for pid in ids)
+
+
 def events_to_csv(events: Iterable[CollinearityEvent]) -> str:
-    """The header line, then one record per event, with members and
-    anchors as point ids joined by ';'. Fields are quoted where RFC 4180
-    needs it (_csv_field), so csv.reader splits every record into the
-    header's seven fields."""
+    """The header line, then one record per event. Members and anchors
+    are each one record of point ids with ';' as the delimiter
+    (_id_record), so csv.reader(..., delimiter=";") gives the ids back.
+    Fields are quoted where RFC 4180 needs it (_csv_field), so csv.reader
+    splits every record into the header's seven fields."""
     lines = [EVENTS_CSV_HEADER]
     for e in events:
         fields = (
             str(e.time),
             format(e.time.approx(), ".12g"),
             str(e.k),
-            ";".join(e.members),
-            ";".join(e.anchors),
+            _id_record(e.members),
+            _id_record(e.anchors),
             str(e.tangential).lower(),
             str(e.contains_subcollision).lower(),
         )

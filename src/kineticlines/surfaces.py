@@ -10,13 +10,22 @@ shapes depending on how the two trajectories relate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
 from .exact_numbers import AlgebraicTime
 from .kinematics import KineticPoint, TimeLike, collision_time
+
+__all__ = [
+    "SurfaceClass",
+    "SurfaceKind",
+    "SurfacePolynomial",
+    "classify_surface",
+    "surface_contains",
+    "surface_of_pair",
+]
 
 Plane = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -48,15 +57,8 @@ class SurfacePolynomial:
         )
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        return (
-            self.coeff_x,
-            self.coeff_xt,
-            self.coeff_y,
-            self.coeff_yt,
-            self.coeff_1,
-            self.coeff_t,
-            self.coeff_tt,
-        )
+        """The seven coefficients in field order."""
+        return astuple(self)
 
 
 class SurfaceKind(Enum):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kineticlines import BoundAudit, save_scene
+from kineticlines import BoundAudit, gen_no_collinearity, save_scene
 from kineticlines.cli import main
 from kineticlines.sceneio import EVENTS_CSV_HEADER
 
@@ -252,6 +252,14 @@ class TestRender:
         save_scene(make_scene(), path)
         assert main(["render", str(path), "--times", "0", "-o", str(tmp_path / "x")]) == 2
         assert "scene has no points to render" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_eventless_scene_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "circle.json"
+        save_scene(gen_no_collinearity(5), path)
+        assert main(["render", str(path), "--at-events", "-o", str(tmp_path / "x")]) == 2
+        assert "scene has no events to render" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_times_and_at_events_exclusive(self, tmp_path):
         path = write_crossing_scene(tmp_path)

@@ -213,8 +213,8 @@ class TestAlgebraicTimeCanonicalForm:
     @given(rationals(), rationals(), rationals(), rationals().filter(bool), st.integers(2, 12))
     @settings(max_examples=200)
     def test_equal_values_share_canonical_key(self, c2, c1, c0, scale, m):
-        # event bucketing and dedup hash AlgebraicTime, so compare_times == 0
-        # must imply equal canonical forms and equal hashes
+        # the oracle's set of candidate times hashes AlgebraicTime, so
+        # compare_times == 0 must imply equal canonical forms and equal hashes
         times = [AlgebraicTime.make(0, 1, 12, 1), AlgebraicTime.make(0, 2, 3, 1)]
         # 10007 is a prime above the trial bound, so 10007**2 is a square
         # factor that the reduction cannot split off

@@ -1,6 +1,7 @@
 """SVG snapshot rendering: determinism, shared viewport, event overlays."""
 
 import re
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
@@ -112,3 +113,17 @@ class TestRenderAtEvents:
     def test_respects_k_min(self):
         with pytest.raises(ValueError):
             render_at_events(crossing_scene(), k_min=4)
+
+
+def test_ids_escaped_as_xml_text():
+    scene = make_scene(
+        ("a<b", (0, 0), (0, 0)),
+        ("R&D", (0, 1), (1, 0)),
+        ("c", (4, 0), (0, 1)),
+    )
+    _, event_docs = render_at_events(scene)
+    for doc in render_scene(scene, [F(0), F(2)]) + event_docs:
+        texts = ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}text")
+        labels = [node.text for node in texts]
+        assert {"a<b", "R&D", "c"} <= set(labels)
+        assert ">a&lt;b</text>" in doc and ">R&amp;D</text>" in doc

@@ -215,7 +215,7 @@ class TestEventListings:
 
     def test_csv_quotes_ids_that_need_it(self):
         # one such id per scene, so no other character forces its quotes
-        for odd in ("a,b", "c\nd", 'e"f', '"g', "h\ri"):
+        for odd in ("a,b", "c\nd", 'e"f', '"g', "h\ri", "a;b"):
             ids = [odd, "p2", "p3", "p4", "p5"]
             scene = Scene(
                 tuple(
@@ -231,4 +231,5 @@ class TestEventListings:
             for row, e in zip(rows[1:], events):
                 assert len(row) == 7
                 assert row[0] == str(e.time) and row[2] == str(e.k)
-                assert row[3] == ";".join(e.members) and row[4] == ";".join(e.anchors)
+                assert tuple(next(csv.reader([row[3]], delimiter=";"))) == e.members
+                assert tuple(next(csv.reader([row[4]], delimiter=";"))) == e.anchors
