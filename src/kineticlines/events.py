@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollinearityEvent:
     """One maximal (line, time) collinearity event.
 
@@ -110,7 +110,8 @@ class CollinearityEvent:
         }
 
 
-_Root = tuple[tuple[KineticPoint, KineticPoint, KineticPoint], bool]
+# a root triple a, b, c and whether the root is double
+_Root = tuple[KineticPoint, KineticPoint, KineticPoint, bool]
 # a bucket's lines and positions, as _bucket_lines returns them
 _Lines = tuple[list[list], Optional[dict[str, tuple[int, int]]]]
 
@@ -175,7 +176,7 @@ def _buckets(scene: Scene) -> tuple[dict[RootKey, list[_Root]], int]:
         keys, identically_zero, double_root = root_keys(c2, c1, c0)
         always += identically_zero
         for key in keys:
-            by_key.setdefault(key, []).append(((a, b, c), double_root))
+            by_key.setdefault(key, []).append((a, b, c, double_root))
     return by_key, always
 
 
@@ -248,7 +249,7 @@ def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
     """
     if len(key) > 2:
         # every pair is distinct at an irrational time, and no root is double
-        trios = [(a.id, b.id, c.id) for (a, b, c), _ in roots]
+        trios = [(a.id, b.id, c.id) for a, b, c, _ in roots]
         components = _components([[(a, b), (a, c), (b, c)] for a, b, c in trios])
         lines = [[{pid for i in comp for pid in trios[i]}, False, len(comp)] for comp in components]
         return lines, None
@@ -256,7 +257,7 @@ def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
     # den*lcm(D), so that coincidence is tuple equality and a line has an
     # integer key
     num, den = key
-    forms = {pt.id: pt.homogeneous for trio, _ in roots for pt in trio}
+    forms = {pt.id: pt.homogeneous for root in roots for pt in root[:3]}
     common = math.lcm(*(form[4] for form in forms.values()))
     positions = {
         pid: ((x * den + vx * num) * (common // d), (y * den + vy * num) * (common // d))
@@ -264,7 +265,7 @@ def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
     }
     lines: dict[tuple[int, int, int], list] = {}
     coincident: list[tuple[int, int]] = []
-    for (pa, pb, pc), tangential in roots:
+    for pa, pb, pc, tangential in roots:
         qa, qb, qc = positions[pa.id], positions[pb.id], positions[pc.id]
         q = qb if qb != qa else qc
         if q == qa:
@@ -309,9 +310,10 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
 
     The kept buckets of _buckets become their AlgebraicTimes in one
     key_times call, so a time is built once per bucket, not once per
-    root, and time_order orders the buckets by index, with no time
-    hashed. At k_min >= 4 a one-triple bucket holds no event (see
-    _bucket_lines) and is dropped before either step.
+    root, and time_order orders the buckets by index, by the bounds
+    key_times built, with no time hashed. At k_min >= 4 a one-triple
+    bucket holds no event (see _bucket_lines) and is dropped before
+    either step.
     """
     if k_min < 3:
         raise ValueError("k_min must be at least 3")
@@ -321,7 +323,8 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     for i in time_order(times):
         t, (key, roots) = times[i], kept[i]
         if t.q and len(roots) == 1:
-            members = tuple(sorted(pt.id for pt in roots[0][0]))
+            a, b, c, _ = roots[0]
+            members = tuple(sorted((a.id, b.id, c.id)))
             events.append(CollinearityEvent(t, members, 3, members[:2], False, False))
             continue
         events += _line_events(t, _bucket_lines(key, roots), k_min)
@@ -395,7 +398,7 @@ def audit_bounds(scene: Scene, k: int) -> BoundAudit:
     count_3 = count_k = incidences = 0
     for key, roots in buckets.items():
         if len(roots) == 1:
-            if len(key) == 2 and _meet(key, roots[0][0]):
+            if len(key) == 2 and _meet(key, roots[0][:3]):
                 continue
             count_3 += 1
             count_k += k == 3

@@ -11,7 +11,7 @@ many times at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -100,6 +100,14 @@ def _surd_sign(p: int, q: int, d: int) -> int:
     if sp * sq >= 0:
         return sp or sq
     return sp if p * p > q * q * d else sq
+
+
+def _interval(p: int, q: int, r: int, root: int, bits: int) -> tuple[int, int]:
+    """Integer lo, hi with lo <= (p + q*sqrt(d))/r * 2**bits <= hi, for
+    r > 0 and root = isqrt(d << 2*bits), 0 for a rational: then
+    root <= sqrt(d) * 2**bits < root + 1."""
+    num = (p << bits) + q * root
+    return (num + min(q, 0)) // r, -(-(num + max(q, 0)) // r)
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +200,26 @@ def _primorial_gcds(ns: Sequence[int]) -> list[int]:
     return gcds
 
 
-@dataclass(frozen=True)
+def _check_canonical(t: AlgebraicTime) -> None:
+    """ValueError unless t's integers are in the canonical form that
+    AlgebraicTime states: every constructor but key_times runs it."""
+    if t.r <= 0:
+        raise ValueError("denominator r must be positive")
+    if (t.q == 0) != (t.d == 0):
+        raise ValueError("q and d must be zero together")
+    if t.q != 0:
+        if t.d < 2:
+            raise ValueError("radicand must be at least 2")
+        root = math.isqrt(t.d)
+        if root * root == t.d:
+            raise ValueError("radicand must not be a perfect square")
+        if math.gcd(math.gcd(abs(t.p), abs(t.q)), t.r) != 1:
+            raise ValueError("p, q, r must be coprime")
+    elif math.gcd(abs(t.p), t.r) != 1:
+        raise ValueError("p and r must be coprime")
+
+
+@dataclass(frozen=True, slots=True)
 class AlgebraicTime:
     """A real number (p + q*sqrt(d))/r with integer entries.
 
@@ -210,6 +237,15 @@ class AlgebraicTime:
     root_keys and hashes no time. test_equal_values_share_canonical_key
     tests this invariant.
 
+    Every constructor checks the canonical form (_check_canonical) except
+    key_times, whose forms hold by construction: root_keys gives a
+    rational's lowest-terms pair with a positive denominator, and an
+    irrational key's b_num*b_den is not a square (b is a non-square in
+    lowest terms), so its reduced d is neither 1 nor a square and m != 0;
+    key_times divides p, q, r by their gcd, and r = a_den*b_den > 0.
+    key_times also sets each time's 64-bit bounds, in two fields that
+    ==, hash and repr leave out.
+
     +, -, * work inside one quadratic field, with int and Fraction
     operands taken as rationals; operands with two different radicands
     raise ValueError. A result is divided by gcd(p, q, r) and collapses to
@@ -226,21 +262,13 @@ class AlgebraicTime:
     d: int
     r: int
 
+    # lo and hi - lo of the value's 64-bit bounds, as _bounds(64) gives
+    # them: key_times sets both, every other constructor neither
+    _lo64: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _span64: int = field(default=0, init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("denominator r must be positive")
-        if (self.q == 0) != (self.d == 0):
-            raise ValueError("q and d must be zero together")
-        if self.q != 0:
-            if self.d < 2:
-                raise ValueError("radicand must be at least 2")
-            root = math.isqrt(self.d)
-            if root * root == self.d:
-                raise ValueError("radicand must not be a perfect square")
-            if math.gcd(math.gcd(abs(self.p), abs(self.q)), self.r) != 1:
-                raise ValueError("p, q, r must be coprime")
-        elif math.gcd(abs(self.p), self.r) != 1:
-            raise ValueError("p and r must be coprime")
+        _check_canonical(self)
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "AlgebraicTime":
@@ -343,22 +371,21 @@ class AlgebraicTime:
 
     def _bounds(self, bits: int) -> tuple[int, int]:
         """Integer lo, hi with lo <= value * 2**bits <= hi."""
-        scale = 1 << bits
-        if self.q == 0:
-            num = self.p * scale
-            return num // self.r, -((-num) // self.r)
-        root = math.isqrt(self.d << (2 * bits))
-        if self.q > 0:
-            lo = self.p * scale + self.q * root
-            hi = self.p * scale + self.q * (root + 1)
-        else:
-            lo = self.p * scale + self.q * (root + 1)
-            hi = self.p * scale + self.q * root
-        return lo // self.r, -((-hi) // self.r)
+        return _interval(self.p, self.q, self.r, math.isqrt(self.d << (2 * bits)), bits)
+
+    def _bounds64(self) -> tuple[int, int]:
+        """_bounds(64): the ones key_times carried, or computed now."""
+        if self._lo64 is None:
+            return self._bounds(64)
+        return self._lo64, self._lo64 + self._span64
 
     def approx(self) -> float:
-        """Float approximation; a display hint, never used for decisions."""
-        lo, hi = self._bounds(64)
+        """Float approximation; a display hint, never used for decisions.
+
+        The midpoint of the 64-bit bounds, which a time from key_times
+        carries from its construction, where time_order sorts by them.
+        """
+        lo, hi = self._bounds64()
         # int / int is correctly rounded
         return (lo + hi) / (1 << 65)
 
@@ -437,12 +464,13 @@ def compare_times(x: AlgebraicTime, y: AlgebraicTime) -> int:
 def time_order(times: Sequence[AlgebraicTime]) -> list[int]:
     """The indices of times in exact ascending order of their times.
 
-    Each time is keyed by its 64-bit interval bounds. Times whose
+    Each time is keyed by its 64-bit interval bounds: the ones a time from
+    key_times carries, computed here for any other time. Times whose
     intervals are disjoint are ordered by the bounds alone; compare_times,
     through AlgebraicTime.__lt__, runs only inside a run of overlapping
     intervals.
     """
-    bounds = [t._bounds(64) for t in times]
+    bounds = [t._bounds64() for t in times]
     runs: list[list[int]] = []
     run_hi = 0
     for i in sorted(range(len(times)), key=bounds.__getitem__):
@@ -546,7 +574,8 @@ def root_keys(c2: int, c1: int, c0: int) -> tuple[tuple[RootKey, ...], bool, boo
 
 
 def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
-    """The canonical AlgebraicTime of each root_keys key, in order.
+    """The canonical AlgebraicTime of each root_keys key, in order, each
+    carrying the 64-bit bounds that time_order sorts by and approx reads.
 
     A rational key (num, den) is the time num/den. An irrational key has
     a + e*sqrt(b) = (a_num*b_den + e*m*a_den*sqrt(d))/(a_den*b_den) with
@@ -555,9 +584,15 @@ def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
     reduced by one square_reduce_all call, and the two roots of a
     conjugate pair, which share (a, b), are built from one reduction and
     differ only in the sign of q. So each time is the one make gives.
+
+    Those integers are canonical by construction (see AlgebraicTime), so
+    no time is checked again. A conjugate pair also shares one
+    isqrt(d << 128), from which _interval gives each root the bounds that
+    _bounds(64) computes.
     """
     # (a_num, a_den, b_num, b_den), the part of a key that a conjugate
-    # pair shares, mapped to the (p, q, d, r) of its root with e = 1
+    # pair shares, mapped to the (p, q, d, r) of its root with e = 1 and
+    # isqrt(d << 128)
     shared = dict.fromkeys(key[1:] for key in keys if len(key) > 2)
     radicands = dict.fromkeys(b_num * b_den for _, _, b_num, b_den in shared)
     reduced = dict(zip(radicands, square_reduce_all(list(radicands))))
@@ -566,14 +601,25 @@ def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
         m, d = reduced[b_num * b_den]
         p, q, r = a_num * b_den, m * a_den, a_den * b_den
         g = math.gcd(p, q, r)
-        shared[part] = (p // g, q // g, d, r // g)
+        shared[part] = (p // g, q // g, d, r // g, math.isqrt(d << 128))
+    new, set_ = object.__new__, object.__setattr__
     times = []
     for key in keys:
         if len(key) == 2:
-            times.append(AlgebraicTime(key[0], 0, 0, key[1]))
+            (p, r), q, d, root = key, 0, 0, 0
         else:
-            p, q, d, r = shared[key[1:]]
-            times.append(AlgebraicTime(p, key[0] * q, d, r))
+            p, q, d, r, root = shared[key[1:]]
+            q *= key[0]
+        lo, hi = _interval(p, q, r, root, 64)
+        # AlgebraicTime(p, q, d, r) without __post_init__
+        t = new(AlgebraicTime)
+        set_(t, "p", p)
+        set_(t, "q", q)
+        set_(t, "d", d)
+        set_(t, "r", r)
+        set_(t, "_lo64", lo)
+        set_(t, "_span64", hi - lo)
+        times.append(t)
     return times
 
 

@@ -85,10 +85,10 @@ class KineticPoint:
 
 @dataclass
 class Scene:
-    """A finite set of kinetic points with distinct non-empty string ids and
-    distinct motions, each coordinate within RATIONAL_DIGIT_LIMIT digits per
-    numerator and denominator, so that every scene saves and every event
-    time serialises.
+    """A finite set of kinetic points with distinct non-empty string ids,
+    each encodable as UTF-8, and distinct motions, each coordinate within
+    RATIONAL_DIGIT_LIMIT digits per numerator and denominator, so that
+    every scene saves and every event time serialises.
 
     meta is free-form JSON-safe annotation; generators use it to record
     their parameters so verification steps can find them later.
@@ -104,6 +104,11 @@ class Scene:
         for pt in self.points:
             if not isinstance(pt.id, str) or not pt.id:
                 raise SceneError(f"point 'id' must be a non-empty string, got {pt.id!r}")
+            try:
+                pt.id.encode("utf-8")
+            except UnicodeEncodeError:
+                # a lone surrogate: no listing, CSV or SVG could write it
+                raise SceneError(f"point id {pt.id!r} is not encodable as UTF-8") from None
             if pt.id in by_id:
                 raise SceneError(f"duplicate point id {pt.id!r}")
             by_id[pt.id] = pt

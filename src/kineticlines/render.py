@@ -38,11 +38,21 @@ def _fmt(value: float) -> str:
     return "0.0000" if out == "-0.0000" else out
 
 
+# U+FFFD for each character XML 1.0 forbids in a document (the C0 controls
+# but tab, LF and CR, and U+FFFE and U+FFFF; Scene refuses the lone
+# surrogates), and the escapes of xml.sax.saxutils.escape, whose module
+# would pull urllib.request into every import of the package
+_XML_TEXT = {
+    **dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd"),
+    ord("&"): "&amp;",
+    ord("<"): "&lt;",
+    ord(">"): "&gt;",
+}
+
+
 def _escape(text: str) -> str:
-    """text as XML character data, as xml.sax.saxutils.escape writes it;
-    importing that module would pull urllib.request into every import of
-    the package."""
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    """text as XML character data that every XML 1.0 parser accepts."""
+    return text.translate(_XML_TEXT)
 
 
 @dataclass

@@ -22,6 +22,17 @@ def write_crossing_scene(tmp_path):
     return path
 
 
+def write_surrogate_scene(tmp_path):
+    """The crossing scene with the id "a\\ud800" written as JSON escapes,
+    which json.loads reads as a lone surrogate."""
+    path = write_crossing_scene(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["points"][0]["id"] = "a\ud800"
+    path.write_text(json.dumps(doc))
+    assert "\\ud800" in path.read_text()
+    return path
+
+
 class TestGenerate:
     def test_writes_scene_and_summary(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -133,6 +144,13 @@ class TestEvents:
         nested.write_text("[" * 100000)
         assert main(["events", str(nested)]) == 1
         assert "nested too deeply" in capsys.readouterr().err
+
+
+    def test_lone_surrogate_id_exits_1(self, tmp_path, capsys):
+        path = write_surrogate_scene(tmp_path)
+        assert main(["events", str(path), "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not encodable as UTF-8" in captured.err
 
 
 class TestCount:
@@ -260,6 +278,13 @@ class TestRender:
         assert main(["render", str(path), "--at-events", "-o", str(tmp_path / "x")]) == 2
         assert "scene has no events to render" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_lone_surrogate_id_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        path = write_surrogate_scene(tmp_path)
+        out_dir = tmp_path / "frames"
+        assert main(["render", str(path), "--times", "0", "-o", str(out_dir)]) == 1
+        assert "not encodable as UTF-8" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_times_and_at_events_exclusive(self, tmp_path):
         path = write_crossing_scene(tmp_path)

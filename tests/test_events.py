@@ -261,6 +261,37 @@ class TestEnumerateEvents:
         monkeypatch.setattr(AlgebraicTime, "__hash__", refuse)
         assert [enumerate_events(scene) for scene in scenes] == want
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: gen_random(10, 1), lambda: gen_tight(8), lambda: gen_lower_bound(16, 4)],
+    )
+    def test_times_built_canonical_with_their_bounds(self, build):
+        # key_times skips the canonical check and carries the bounds that
+        # time_order sorts by; both must be what the checked path gives
+        times = [e.time for e in enumerate_events(build())]
+        assert times
+        for t in times:
+            kineticlines.exact_numbers._check_canonical(t)
+            lo, hi = t._bounds(64)
+            assert t._bounds64() == (lo, hi)
+            assert t.approx() == (lo + hi) / 2**65
+
+    def test_each_time_bounded_once(self, monkeypatch):
+        # key_times computes each time's bounds once, and time_order and
+        # approx (through events_to_json) read them: no _bounds call at all
+        bounds = []
+        interval = kineticlines.exact_numbers._interval
+        monkeypatch.setattr(AlgebraicTime, "_bounds", refuse)
+        monkeypatch.setattr(
+            kineticlines.exact_numbers,
+            "_interval",
+            lambda *args: bounds.append(args) or interval(*args),
+        )
+        events = enumerate_events(gen_random(10, 1))
+        payload = events_to_json(events)
+        assert sum(item["time"]["kind"] == "quadratic" for item in payload) > 0
+        assert len(bounds) == len({e.time for e in events})
+
     def test_event_json_shape(self):
         e = enumerate_events(quadratic_pair_scene())[0]
         payload = e.to_json()
@@ -719,7 +750,7 @@ class TestLineKeyBuckets:
         )
         p = scene.point
         trios = ["abc", "cba", "dca", "eab", "bde", "fgh", "hgf"]
-        roots = [((p(u), p(v), p(w)), False) for u, v, w in trios]
+        roots = [(p(u), p(v), p(w), False) for u, v, w in trios]
         lines, positions = _bucket_lines((0, 1), roots)
         events = _line_events(AlgebraicTime.from_rational(0), (lines, positions), 3)
         assert [(e.members, e.anchors, e.contains_subcollision) for e in events] == [

@@ -338,12 +338,24 @@ def make_roots(c2: int, c1: int, c0: int):
     return (lo, hi), False, False
 
 
+def assert_built_once(times):
+    """Each time from key_times is in the canonical form that every other
+    constructor checks, and carries the 64-bit bounds and the approx that
+    a fresh _bounds(64) gives."""
+    for t in times:
+        exact_numbers._check_canonical(t)
+        lo, hi = t._bounds(64)
+        assert t._bounds64() == (lo, hi)
+        assert t.approx() == (lo + hi) / 2**65
+
+
 def assert_keys_match_make(c2: int, c1: int, c0: int):
     keys, identically_zero, double_root = root_keys(c2, c1, c0)
     report = solve_quadratic(c2, c1, c0)
     want = make_roots(c2, c1, c0)
     assert (report.roots, report.identically_zero, report.double_root) == want
     assert (tuple(key_times(keys)), identically_zero, double_root) == want
+    assert_built_once(key_times(keys))
     # one key alone gives the time it gets beside its conjugate
     assert tuple(key_times([key])[0] for key in keys) == want[0]
     for key in keys:
@@ -429,6 +441,7 @@ class TestRootKeys:
         polys += polys[: len(polys) // 3]
         keys = [key for coeffs in polys for key in root_keys(*coeffs)[0]]
         assert key_times(keys) == [t for coeffs in polys for t in make_roots(*coeffs)[0]]
+        assert_built_once(key_times(keys))
         assert key_times(keys[::-1]) == key_times(keys)[::-1]
 
     def test_square_discriminant_skips_square_reduce(self, monkeypatch):
@@ -561,6 +574,75 @@ class TestSortedTimes:
             got = [times[i] for i in time_order(times)]
             assert got == sorted(times, key=cmp_to_key(compare_times))
             assert all(reference_compare(x, y) <= 0 for x, y in zip(got, got[1:]))
+
+
+class TestTrustedConstruction:
+    @pytest.mark.parametrize(
+        "p, q, d, r",
+        [
+            (1, 0, 0, 0),  # zero denominator
+            (1, 0, 0, -3),  # negative denominator
+            (2, 0, 0, 4),  # rational not in lowest terms
+            (1, 1, 0, 2),  # q without d
+            (1, 0, 5, 2),  # d without q
+            (1, 1, 1, 2),  # radicand below 2
+            (1, 3, 49, 2),  # perfect square radicand
+            (2, 4, 3, 6),  # p, q, r share 2
+        ],
+    )
+    def test_constructor_checks_the_canonical_form(self, p, q, d, r):
+        with pytest.raises(ValueError):
+            AlgebraicTime(p, q, d, r)
+        # the one check that __post_init__ runs, on the same integers
+        unchecked = object.__new__(AlgebraicTime)
+        for name, value in zip("pqdr", (p, q, d, r)):
+            object.__setattr__(unchecked, name, value)
+        with pytest.raises(ValueError):
+            exact_numbers._check_canonical(unchecked)
+
+    @pytest.mark.parametrize(
+        "p, q, d, r",
+        [(1, 1, 2, 0), (1, 0, 0, 0), (1, 1, -2, 3), (0, -1, -5, 1)],
+    )
+    def test_make_and_from_json_reject_invalid_integers(self, p, q, d, r):
+        with pytest.raises(ValueError):
+            AlgebraicTime.make(p, q, d, r)
+        quadratic = {"kind": "quadratic", "p": str(p), "q": str(q), "d": d, "r": str(r)}
+        with pytest.raises(ValueError):
+            AlgebraicTime.from_json(quadratic)
+        if q == 0:
+            with pytest.raises(ValueError):
+                AlgebraicTime.from_json({"kind": "rational", "value": f"{p}/{r}"})
+
+    def test_other_constructors_carry_no_bounds(self):
+        # only key_times carries bounds; every other time computes them
+        built = key_times([(1, 3), (1, 0, 1, 2, 1)])
+        others = [
+            AlgebraicTime(1, 0, 0, 3),
+            AlgebraicTime.make(0, 1, 2, 1),
+            AlgebraicTime.from_rational(F(1, 3)),
+            AlgebraicTime.from_json(built[1].to_json()),
+            built[1] + 1,
+            -built[1],
+        ]
+        assert built == [others[0], others[1]]
+        assert all(t._lo64 is None for t in others)
+        assert [t._bounds64() for t in others[:2]] == [t._bounds64() for t in built]
+        assert [t.approx() for t in others[:2]] == [t.approx() for t in built]
+
+    @given(
+        st.lists(st.tuples(*[st.integers(-(10**4), 10**4)] * 3), min_size=1, max_size=20),
+        st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 50)), max_size=10),
+    )
+    @settings(max_examples=100)
+    def test_time_order_on_built_and_computed_bounds(self, polys, scales):
+        # key_times times carry their bounds, field arithmetic results
+        # compute theirs; time_order gives the compare_times order for both
+        built = key_times([key for coeffs in polys for key in root_keys(*coeffs)[0]])
+        mixed = built + [t * F(a, b) + 1 for t, (a, b) in zip(built, scales)]
+        got = [mixed[i] for i in time_order(mixed)]
+        assert all(compare_times(x, y) <= 0 for x, y in zip(got, got[1:]))
+        assert got == sorted(mixed, key=cmp_to_key(compare_times))
 
 
 def sqrt2_convergents(count):

@@ -41,6 +41,12 @@ class TestSceneValidation:
         with pytest.raises(SceneError, match="'id' must be a non-empty string"):
             Scene((point,))
 
+    @pytest.mark.parametrize("pid", ["a\ud800", "\udfff", "x\udc80y"])
+    def test_id_must_encode_as_utf8(self, pid):
+        # a lone surrogate could not be written to a listing, CSV or SVG
+        with pytest.raises(SceneError, match="not encodable as UTF-8"):
+            make_scene((pid, (0, 0), (1, 0)), ("b", (1, 1), (0, 0)))
+
     def test_lookup(self):
         scene = make_scene(("a", (0, 0), (1, 0)), ("b", (1, 1), (0, 0)))
         assert scene.point("b").pos == (F(1), F(1))

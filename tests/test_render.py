@@ -115,6 +115,19 @@ class TestRenderAtEvents:
             render_at_events(crossing_scene(), k_min=4)
 
 
+def test_characters_xml_forbids_become_replacement_characters():
+    # XML 1.0 has no way to write U+0001 or U+FFFF, escaped or not
+    scene = make_scene(
+        ("a\x01", (0, 0), (0, 0)),
+        ("b\uffff", (0, 1), (1, 0)),
+        ("c\t", (4, 0), (0, 1)),
+    )
+    _, event_docs = render_at_events(scene)
+    for doc in render_scene(scene, [F(0), F(2)]) + event_docs:
+        texts = ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}text")
+        assert {"a\ufffd", "b\ufffd", "c\t"} <= {node.text for node in texts}
+
+
 def test_ids_escaped_as_xml_text():
     scene = make_scene(
         ("a<b", (0, 0), (0, 0)),
