@@ -6,31 +6,22 @@ not collinear at every time. Events are maximal: members are every scene
 point on the line at that time.
 
 Enumeration is three layers: buckets, lines, events. _buckets makes one
-pass over pivot fans (kinematics.triple_polynomials), which gives every
-triple's integer polynomial from differences computed once per pair. A
-triple with a negative discriminant is never collinear and is skipped
-there; every other root goes into a bucket under its
-exact_numbers.root_keys key, so equal times meet in one bucket. A key is
-plain integers found with no factoring: a rational time's lowest-terms
-pair, or the sign e and the lowest-terms a and b of an irrational time
-a + e*sqrt(b). The same pass counts the always-collinear triples.
+pass over pivot fans (kinematics.triple_polynomials) and puts every
+triple whose polynomial has a root into a bucket under each of its
+exact_numbers.root_keys keys: plain integers, a rational time's
+lowest-terms pair, or one key for an irrational conjugate pair
+a -+ sqrt(b), whose two times hold the same triples. _bucket_lines finds
+a bucket's lines with their member ids, tangential flags and triple
+incidences: a rational bucket groups its triples by the integer key of
+their line, and union-find over shared pairs serves only irrational
+buckets of two or more triples and always_collinear_groups.
 
-_bucket_lines finds a bucket's lines, each with its member ids, its
-tangential flag and its triple incidences. Collision times are rational,
-so only a rational bucket computes positions, as integers over one
-denominator, and it groups its root triples by the exact integer key of
-the line they lie on. Union-find over shared pairs serves only
-irrational buckets of two or more triples, where every pair is distinct,
-and always_collinear_groups. _bucket_lines argues that a line's members
-are exactly the points on it.
-
-enumerate_events alone builds events: the AlgebraicTimes of the buckets
-it keeps, from one exact_numbers.key_times call that reduces all their
-radicands at once, the bucket order from time_order, and at each time
-an event per line with its sorted members, anchors and flags, ordered by
-member tuple. audit_bounds and count_k_collinearities stop at lines: they
-count lines, members and incidences, with no time built, no radicand
-reduced, no sort and no event object.
+enumerate_events alone builds events: the times of the kept buckets from
+one exact_numbers.key_times call, their order from time_order, and at
+each time an event per line, a pair bucket's lines found once for both
+of its times. audit_bounds and count_k_collinearities stop at lines and
+count a pair bucket's twice, with no time built, no radicand reduced, no
+sort and no event object.
 
 brute_force_events re-derives the same list from scratch for small scenes
 and shares only the exact-number layer with the enumeration path, so the
@@ -155,18 +146,18 @@ def _line_key(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int, int]:
 
 
 def _buckets(scene: Scene) -> tuple[dict[RootKey, list[_Root]], int]:
-    """Every triple root in a bucket under its root key, and the number
-    of always-collinear triples.
+    """Every triple in a bucket under each of its root keys, and the
+    number of always-collinear triples.
 
     One pass over the pivot fans of triple_polynomials, looked up on this
     module at call time, gives each triple's integer polynomial. A triple
     with a negative discriminant is skipped before any call; root_keys
     reports the rest, counting an identically zero polynomial as an
-    always-collinear triple and a double root as tangential. Each root
-    goes into a bucket under its key, plain integers: the lowest-terms
-    pair (num, den) of a rational time, (e, a_num, a_den, b_num, b_den)
-    for a + e*sqrt(b) at an irrational one. Equal times have equal
-    keys, so a bucket holds every root triple at its time.
+    always-collinear triple and a double root as tangential. Equal times
+    have equal keys, so a bucket holds every root triple at its time. An
+    integer polynomial with the root a + sqrt(b) or a - sqrt(b), b a
+    rational non-square, has both, so one pair bucket under (a, b), with
+    one record per triple, holds every root triple at each of the two.
     """
     by_key: dict[RootKey, list[_Root]] = {}
     always = 0
@@ -197,7 +188,8 @@ def _meet(key: tuple[int, int], trio: Sequence[KineticPoint]) -> bool:
 def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
     """The lines of the bucket at key, each as [member ids, tangential,
     triple incidences], and the integer positions of the bucket's points
-    (None at an irrational time).
+    (None for a pair key: conjugating a + sqrt(b) to a - sqrt(b) fixes
+    the scene's rational motions, so its two times have the same lines).
 
     Two points distinct at t span one line, and a root triple with such a
     pair lies on that line only. A line is the points of the root triples
@@ -230,17 +222,14 @@ def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
     joins a line's root triples through shared pairs, so its lines are
     the union-find components (_components) over all three pairs.
 
-    One triple: a bucket with a single root triple never holds four
-    points on a line, since by completeness a fourth point on its line
-    would put a second root triple into the bucket. At an irrational time
-    it is one event of exactly those three points, and a double root,
-    like a collision, falls at a rational time, so the event is not
-    tangential; enumerate_events emits it as it is, with no union-find,
-    and does not pass it here. At a rational time it is that one event
-    too, unless its three points coincide, and then it has no line;
-    audit_bounds counts every one-triple bucket so, with no call here.
-    At k_min >= 4 enumerate_events drops every one-triple bucket,
-    rational or not.
+    One triple: by completeness, a fourth point on the line of a
+    bucket's one root triple would put a second root triple there, so the
+    line is one event of exactly those three points, or none when they
+    coincide at a rational t. At an irrational t it is not tangential (a
+    double root, like a collision, falls at a rational time), and
+    enumerate_events emits it with no call here; audit_bounds counts
+    every one-triple bucket with none. At k_min >= 4 enumerate_events
+    drops every one-triple bucket.
 
     Incidences: a member triple that is not always collinear is collinear
     at t, so it is a root triple of the bucket. One with a distinct pair
@@ -309,25 +298,34 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     (ties broken by the member tuple). Deterministic for a given scene.
 
     The kept buckets of _buckets become their AlgebraicTimes in one
-    key_times call, so a time is built once per bucket, not once per
-    root, and time_order orders the buckets by index, by the bounds
-    key_times built, with no time hashed. At k_min >= 4 a one-triple
-    bucket holds no event (see _bucket_lines) and is dropped before
-    either step.
+    key_times call, a pair key giving its two, and time_order orders the
+    times by index, by the bounds key_times built, with no time hashed.
+    A pair bucket's lines serve both of its times. At k_min >= 4 a
+    one-triple bucket holds no event (see _bucket_lines) and is dropped
+    before either step.
     """
     if k_min < 3:
         raise ValueError("k_min must be at least 3")
     kept = [item for item in _buckets(scene)[0].items() if k_min == 3 or len(item[1]) > 1]
     times = key_times([key for key, _ in kept])
+    # key_times gives a rational key (num, den) one time, a pair key two
+    bucket_of = [i for i, (key, _) in enumerate(kept) for _ in range(len(key) // 2)]
+    pair_lines: dict[int, _Lines] = {}
     events: list[CollinearityEvent] = []
-    for i in time_order(times):
-        t, (key, roots) = times[i], kept[i]
-        if t.q and len(roots) == 1:
+    for j in time_order(times):
+        t, i = times[j], bucket_of[j]
+        key, roots = kept[i]
+        if len(key) == 2:
+            events += _line_events(t, _bucket_lines(key, roots), k_min)
+        elif len(roots) == 1:
             a, b, c, _ = roots[0]
             members = tuple(sorted((a.id, b.id, c.id)))
             events.append(CollinearityEvent(t, members, 3, members[:2], False, False))
-            continue
-        events += _line_events(t, _bucket_lines(key, roots), k_min)
+        else:
+            lines = pair_lines.pop(i, None)
+            if lines is None:
+                lines = pair_lines[i] = _bucket_lines(key, roots)
+            events += _line_events(t, lines, k_min)
     return events
 
 
@@ -390,21 +388,23 @@ def audit_bounds(scene: Scene, k: int) -> BoundAudit:
     no time, no sort, no member tuple, anchors or flags. A one-triple
     bucket is one line of three members with one incidence (see
     _bucket_lines), or no line when its three points meet at a rational
-    t, which their integer forms decide with no positions computed.
+    t, which their integer forms decide with no positions computed. A
+    pair bucket's lines, members and incidences count at both its times.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
     buckets, always = _buckets(scene)
     count_3 = count_k = incidences = 0
     for key, roots in buckets.items():
+        times = len(key) // 2
         if len(roots) == 1:
-            if len(key) == 2 and _meet(key, roots[0][:3]):
+            if times == 1 and _meet(key, roots[0][:3]):
                 continue
-            count_3 += 1
-            count_k += k == 3
-            incidences += 1
+            count_3 += times
+            count_k += times * (k == 3)
+            incidences += times
             continue
-        lines, _ = _bucket_lines(key, roots)
+        lines = _bucket_lines(key, roots)[0] * times
         count_3 += len(lines)
         for ids, _, count in lines:
             count_k += len(ids) >= k

@@ -110,6 +110,10 @@ def _interval(p: int, q: int, r: int, root: int, bits: int) -> tuple[int, int]:
     return (num + min(q, 0)) // r, -(-(num + max(q, 0)) // r)
 
 
+# bit r of _SQm is set when r is a square mod m
+_SQ63, _SQ65, _SQ11 = (sum(1 << r for r in {i * i % m for i in range(m)}) for m in (63, 65, 11))
+
+
 @lru_cache(maxsize=None)
 def _primorial() -> int:
     """The product of the primes up to SQUAREFREE_TRIAL_BOUND."""
@@ -132,7 +136,8 @@ def square_reduce_all(ns: Sequence[int]) -> list[tuple[int, int]]:
     """square_reduce of each n in ns, in order; ValueError if some n <= 0.
 
     The primes up to SQUAREFREE_TRIAL_BOUND are split out by gcds, then
-    the remaining cofactor is tested for being a perfect square. A square
+    the remaining cofactor is tested for being a perfect square, by
+    residues mod 63, 65 and 11 and, if they allow it, one isqrt. A square
     factor built entirely from primes above the bound stays inside d, so d
     need not be squarefree. Canonical keys do not need it to be: they rest
     on reducing an integer that depends only on the value, and on the
@@ -158,7 +163,10 @@ def square_reduce_all(ns: Sequence[int]) -> list[tuple[int, int]]:
             m *= h
             g = math.gcd(rest, h)
         if rest > 1:
-            root = math.isqrt(rest)
+            # root_keys' residue test; root = 0 fails the test below
+            root = 0
+            if _SQ63 >> rest % 63 & 1 and _SQ65 >> rest % 65 & 1 and _SQ11 >> rest % 11 & 1:
+                root = math.isqrt(rest)
             if root * root == rest:
                 m *= root
             else:
@@ -239,12 +247,10 @@ class AlgebraicTime:
 
     Every constructor checks the canonical form (_check_canonical) except
     key_times, whose forms hold by construction: root_keys gives a
-    rational's lowest-terms pair with a positive denominator, and an
-    irrational key's b_num*b_den is not a square (b is a non-square in
-    lowest terms), so its reduced d is neither 1 nor a square and m != 0;
+    rational's lowest-terms pair with a positive denominator, and a pair
+    key's b_num*b_den is not a square (b is a non-square in lowest
+    terms), so its reduced d is neither 1 nor a square and m != 0;
     key_times divides p, q, r by their gcd, and r = a_den*b_den > 0.
-    key_times also sets each time's 64-bit bounds, in two fields that
-    ==, hash and repr leave out.
 
     +, -, * work inside one quadratic field, with int and Fraction
     operands taken as rationals; operands with two different radicands
@@ -516,13 +522,9 @@ def _field_value(p: int, q: int, d: int, r: int) -> AlgebraicTime:
     return AlgebraicTime(p // g, q // g, d, r // g)
 
 
-# (num, den) for a rational root, (e, a_num, a_den, b_num, b_den) for an
-# irrational one a + e*sqrt(b); see root_keys
+# (num, den) for a rational root, (a_num, a_den, b_num, b_den) for the
+# conjugate pair of irrational roots a -+ sqrt(b); see root_keys
 RootKey = tuple[int, ...]
-
-# bit r of _SQm is set when r is a square mod m
-_SQ63, _SQ65, _SQ11 = (sum(1 << r for r in {i * i % m for i in range(m)}) for m in (63, 65, 11))
-
 
 def root_keys(c2: int, c1: int, c0: int) -> tuple[tuple[RootKey, ...], bool, bool]:
     """Exact real roots of c2*t^2 + c1*t + c0 for integer coefficients, as
@@ -533,10 +535,10 @@ def root_keys(c2: int, c1: int, c0: int) -> tuple[tuple[RootKey, ...], bool, boo
     into times. A rational root is keyed by its lowest-terms pair
     (num, den), den > 0. Two distinct roots (-c1 -+ sqrt(disc))/(2*c2),
     c2 > 0, are rational exactly when disc is a square, which residue
-    tests and one isqrt decide. Otherwise a root is a + e*sqrt(b) with
-    the sign e = -1 or 1, a = -c1/(2*c2) and b = disc/(4*c2*c2) a rational
-    non-square, and its key is (e, a_num, a_den, b_num, b_den) with a and
-    b in lowest terms: two gcds.
+    tests and one isqrt decide. Otherwise they are a + e*sqrt(b) for
+    e = -1 and 1, a = -c1/(2*c2) and b = disc/(4*c2*c2) a rational
+    non-square, and one pair key (a_num, a_den, b_num, b_den), in lowest
+    terms, stands for both: two gcds.
 
     Equal times have equal keys. A rational and an irrational root differ
     in value and in key length. If a + e*sqrt(b) == a' + e'*sqrt(b') with
@@ -566,60 +568,58 @@ def root_keys(c2: int, c1: int, c0: int) -> tuple[tuple[RootKey, ...], bool, boo
         return (_lowest(-c1 - s, 2 * c2), _lowest(-c1 + s, 2 * c2)), False, False
     two_c2 = 2 * c2
     g = math.gcd(c1, two_c2)
-    a_num, a_den = -c1 // g, two_c2 // g
     square = two_c2 * two_c2
-    g = math.gcd(disc, square)
-    b_num, b_den = disc // g, square // g
-    return ((-1, a_num, a_den, b_num, b_den), (1, a_num, a_den, b_num, b_den)), False, False
+    h = math.gcd(disc, square)
+    return ((-c1 // g, two_c2 // g, disc // h, square // h),), False, False
+
+
+# AlgebraicTime's slot writers: no frozen __setattr__, no __post_init__
+_SLOT_SETTERS = tuple(
+    getattr(AlgebraicTime, name).__set__ for name in ("p", "q", "d", "r", "_lo64", "_span64")
+)
 
 
 def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
-    """The canonical AlgebraicTime of each root_keys key, in order, each
-    carrying the 64-bit bounds that time_order sorts by and approx reads.
+    """The canonical AlgebraicTimes of root_keys keys, in order, a pair
+    key's two ascending, each carrying the 64-bit bounds that time_order
+    sorts by and approx reads.
 
-    A rational key (num, den) is the time num/den. An irrational key has
-    a + e*sqrt(b) = (a_num*b_den + e*m*a_den*sqrt(d))/(a_den*b_den) with
+    A rational key (num, den) is the time num/den. A pair key gives
+    a -+ sqrt(b) = (a_num*b_den -+ m*a_den*sqrt(d))/(a_den*b_den) with
     b_num*b_den = m*m*d, the integer that AlgebraicTime.make reduces for
-    the same value. The distinct radicands b_num*b_den of the batch are
-    reduced by one square_reduce_all call, and the two roots of a
-    conjugate pair, which share (a, b), are built from one reduction and
-    differ only in the sign of q. So each time is the one make gives.
-
-    Those integers are canonical by construction (see AlgebraicTime), so
-    no time is checked again. A conjugate pair also shares one
-    isqrt(d << 128), from which _interval gives each root the bounds that
-    _bounds(64) computes.
+    either value, so each time is the one make gives. One
+    square_reduce_all call reduces the batch's distinct radicands; then
+    a pair takes one gcd(p, q, r) and one isqrt(d << 128), from which
+    _interval gives both roots the bounds that _bounds(64) computes.
+    These forms are canonical by construction (see AlgebraicTime) and
+    are not checked again.
     """
-    # (a_num, a_den, b_num, b_den), the part of a key that a conjugate
-    # pair shares, mapped to the (p, q, d, r) of its root with e = 1 and
-    # isqrt(d << 128)
-    shared = dict.fromkeys(key[1:] for key in keys if len(key) > 2)
-    radicands = dict.fromkeys(b_num * b_den for _, _, b_num, b_den in shared)
+    radicands = dict.fromkeys(key[2] * key[3] for key in keys if len(key) == 4)
     reduced = dict(zip(radicands, square_reduce_all(list(radicands))))
-    for part in shared:
-        a_num, a_den, b_num, b_den = part
-        m, d = reduced[b_num * b_den]
-        p, q, r = a_num * b_den, m * a_den, a_den * b_den
-        g = math.gcd(p, q, r)
-        shared[part] = (p // g, q // g, d, r // g, math.isqrt(d << 128))
-    new, set_ = object.__new__, object.__setattr__
+    new = object.__new__
+    set_p, set_q, set_d, set_r, set_lo, set_span = _SLOT_SETTERS
     times = []
     for key in keys:
         if len(key) == 2:
-            (p, r), q, d, root = key, 0, 0, 0
+            (p, r), d, root, signed = key, 0, 0, (0,)
         else:
-            p, q, d, r, root = shared[key[1:]]
-            q *= key[0]
-        lo, hi = _interval(p, q, r, root, 64)
-        # AlgebraicTime(p, q, d, r) without __post_init__
-        t = new(AlgebraicTime)
-        set_(t, "p", p)
-        set_(t, "q", q)
-        set_(t, "d", d)
-        set_(t, "r", r)
-        set_(t, "_lo64", lo)
-        set_(t, "_span64", hi - lo)
-        times.append(t)
+            a_num, a_den, b_num, b_den = key
+            m, d = reduced[b_num * b_den]
+            p, q, r = a_num * b_den, m * a_den, a_den * b_den
+            g = math.gcd(p, q, r)
+            p, q, r = p // g, q // g, r // g
+            root = math.isqrt(d << 128)
+            signed = (-q, q)
+        for q in signed:
+            lo, hi = _interval(p, q, r, root, 64)
+            t = new(AlgebraicTime)
+            set_p(t, p)
+            set_q(t, q)
+            set_d(t, d)
+            set_r(t, r)
+            set_lo(t, lo)
+            set_span(t, hi - lo)
+            times.append(t)
     return times
 
 

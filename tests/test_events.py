@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kineticlines.events
 import kineticlines.exact_numbers
@@ -31,13 +33,14 @@ from kineticlines import (
     gen_no_collinearity,
     gen_random,
     gen_tight,
+    gen_tight_ellipse,
     position_at,
     solve_quadratic,
 )
 from kineticlines.events import _bf_poly, _bucket_lines, _line_events, _line_key
 from kineticlines.kinematics import triple_polynomials
 
-from conftest import make_scene, serialized
+from conftest import coords, make_scene, serialized
 
 F = Fraction
 
@@ -825,6 +828,98 @@ class TestSampledRootOracle:
         want = [e for e in enumerate_events(scene) if e.time in sample]
         got = brute_force_events(scene, time_candidates=sample, max_points=len(scene))
         assert serialized(got) == serialized(want)
+
+
+def sqrt2_scene():
+    """Four points, every triple's polynomial a multiple of t^2 - 2: all
+    four are collinear at t = -sqrt(2) and at t = sqrt(2) and at no other
+    time."""
+    return make_scene(
+        ("a", (0, 0), (0, 0)),
+        ("b", (1, 0), (0, 1)),
+        ("c", (0, 2), (1, 0)),
+        ("d", (2, 2), (1, 2)),
+    )
+
+
+def small_scenes():
+    """Scenes of three to six points with distinct motions."""
+    motions = st.lists(st.tuples(coords(), coords()), min_size=3, max_size=6, unique=True)
+    return motions.map(
+        lambda ms: Scene(
+            tuple(KineticPoint.make(f"p{i}", pos, vel) for i, (pos, vel) in enumerate(ms))
+        )
+    )
+
+
+def assert_conjugates_match(scene):
+    """Each event at an irrational time (p + q*sqrt(d))/r has an event at
+    its conjugate (p - q*sqrt(d))/r with the same members, anchors and
+    flags: conjugation fixes the scene's rational motions and keeps
+    collinearity and coincidence."""
+    by_time: dict[tuple[int, int, int, int], list] = {}
+    for e in enumerate_events(scene):
+        t = e.time
+        by_time.setdefault((t.p, t.q, t.d, t.r), []).append(
+            (e.members, e.anchors, e.tangential, e.contains_subcollision)
+        )
+    for (p, q, d, r), shapes in by_time.items():
+        if q:
+            assert by_time.get((p, -q, d, r)) == shapes, (p, q, d, r)
+
+
+class TestConjugatePairs:
+    def test_sqrt2_scene_pinned(self, monkeypatch):
+        scene = sqrt2_scene()
+        roots = solve_quadratic(1, 0, -2).roots
+        for k_min in (3, 4):
+            got = enumerate_events(scene, k_min)
+            assert [(e.time, e.members, e.k, e.anchors) for e in got] == [
+                (t, ("a", "b", "c", "d"), 4, ("a", "b")) for t in roots
+            ]
+            assert not any(e.tangential or e.contains_subcollision for e in got)
+        audit = audit_bounds(scene, 4)
+        assert (audit.event_count, audit.event_count_3, audit.triple_incidences) == (2, 2, 8)
+        assert audit.bound_k == 2 == audit.event_count and audit.passed
+        assert_oracle_agrees(scene)
+        # one pair bucket of four triples: its lines are found once for
+        # both of its times
+        calls = []
+        components = kineticlines.events._components
+        monkeypatch.setattr(
+            kineticlines.events,
+            "_components",
+            lambda links: calls.append(links) or components(links),
+        )
+        for k_min in (3, 4):
+            calls.clear()
+            assert len(enumerate_events(scene, k_min)) == 2
+            assert len(calls) == 1 and len(calls[0]) == 4
+        calls.clear()
+        assert audit_bounds(scene, 4).event_count == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gen_random(10, 1),
+            lambda: gen_random(10, 2),
+            lambda: gen_random(10, 3),
+            lambda: gen_tight(8),
+            lambda: gen_tight_ellipse(8),
+            sqrt2_scene,
+        ],
+        ids=["random10-1", "random10-2", "random10-3", "tight8", "tight_ellipse8", "sqrt2"],
+    )
+    def test_conjugate_times_have_the_same_events(self, build):
+        scene = build()
+        assert any(e.time.q for e in enumerate_events(scene))
+        assert_conjugates_match(scene)
+
+    @given(small_scenes())
+    @settings(max_examples=60, deadline=None)
+    def test_conjugate_times_on_small_scenes(self, scene):
+        assert_conjugates_match(scene)
 
 
 def moved(scene, pos_of, vel_of, id_of=lambda pid: pid):

@@ -113,10 +113,19 @@ class TestSquareReduce:
         [
             *(p**e for p in (2, 3, 9973) for e in range(1, 10)),
             2**5 * 3**4 * 9973**3,
-            # a square cofactor above the bound beside small primes
+            # a square cofactor above the bound, alone or beside small primes
+            10007**2,
             2 * 10007**2,
+            6 * 10007**2,
+            10007**2 * 10009**2,
             6 * 10007**2 * 10009**2,
             9967 * 9973,
+            # non-square cofactors: the residue test rejects the first two,
+            # and 10007 * 10193 passes it, so its isqrt decides
+            10007 * 10009,
+            6 * 10007**3,
+            10007 * 10193,
+            2 * 10007 * 10193 * 10009**2,
         ],
     )
     def test_gcd_levels_match_trial_division(self, n):
@@ -356,25 +365,28 @@ def assert_keys_match_make(c2: int, c1: int, c0: int):
     assert (report.roots, report.identically_zero, report.double_root) == want
     assert (tuple(key_times(keys)), identically_zero, double_root) == want
     assert_built_once(key_times(keys))
-    # one key alone gives the time it gets beside its conjugate
-    assert tuple(key_times([key])[0] for key in keys) == want[0]
+    # one key alone gives the times it gets beside the others
+    assert tuple(t for key in keys for t in key_times([key])) == want[0]
     for key in keys:
         # the dedup invariant: each key is the lowest-terms integers of
-        # its value, so equal times have equal keys
+        # its values, so equal times have equal keys
         if len(key) == 2:
             num, den = key
             assert den > 0 and math.gcd(num, den) == 1
-            t = AlgebraicTime.from_rational(F(num, den))
+            ts = [AlgebraicTime.from_rational(F(num, den))]
         else:
-            sign, a_num, a_den, b_num, b_den = key
-            assert sign in (-1, 1)
+            a_num, a_den, b_num, b_den = key
             assert a_den > 0 and math.gcd(a_num, a_den) == 1
             assert b_num > 0 and b_den > 0 and math.gcd(b_num, b_den) == 1
             assert math.isqrt(b_num * b_den) ** 2 != b_num * b_den
             # a + sign*sqrt(b) = (a_num*b_den + sign*a_den*sqrt(b_num*b_den))/(a_den*b_den)
-            t = AlgebraicTime.make(a_num * b_den, sign * a_den, b_num * b_den, a_den * b_den)
-            assert not t.is_rational
-        assert key_times([key]) == [t] and hash(key_times([key])[0]) == hash(t)
+            ts = [
+                AlgebraicTime.make(a_num * b_den, sign * a_den, b_num * b_den, a_den * b_den)
+                for sign in (-1, 1)
+            ]
+            assert not any(t.is_rational for t in ts)
+        assert key_times([key]) == ts
+        assert [hash(t) for t in key_times([key])] == [hash(t) for t in ts]
 
 
 def square_products():
@@ -442,7 +454,9 @@ class TestRootKeys:
         keys = [key for coeffs in polys for key in root_keys(*coeffs)[0]]
         assert key_times(keys) == [t for coeffs in polys for t in make_roots(*coeffs)[0]]
         assert_built_once(key_times(keys))
-        assert key_times(keys[::-1]) == key_times(keys)[::-1]
+        # a pair key's two times stay in ascending order
+        per_key = [key_times([key]) for key in keys]
+        assert key_times(keys[::-1]) == [t for times in per_key[::-1] for t in times]
 
     def test_square_discriminant_skips_square_reduce(self, monkeypatch):
         def refuse(n):
@@ -616,7 +630,8 @@ class TestTrustedConstruction:
 
     def test_other_constructors_carry_no_bounds(self):
         # only key_times carries bounds; every other time computes them
-        built = key_times([(1, 3), (1, 0, 1, 2, 1)])
+        # 1/3, then the upper root of the pair key for -+sqrt(2)
+        built = key_times([(1, 3), (0, 1, 2, 1)])[::2]
         others = [
             AlgebraicTime(1, 0, 0, 3),
             AlgebraicTime.make(0, 1, 2, 1),
