@@ -16,7 +16,6 @@ bad argument values, 3 audit or oracle failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -25,6 +24,7 @@ from typing import Optional, Sequence
 
 from .constructions import CONSTRUCTION_KINDS, DEFAULT_PRECISION_BITS, ConstructionParams
 from .events import (
+    ORACLE_CAP,
     audit_bounds,
     brute_force_events,
     count_k_collinearities,
@@ -33,16 +33,10 @@ from .events import (
 from .exact_numbers import parse_rational, rational_str
 from .kinematics import SceneError
 from .render import render_at_events, render_scene
-from .sceneio import events_to_csv, events_to_json, load_scene, save_scene
+from .sceneio import events_to_csv, events_to_json, json_text, load_scene, save_scene
 from .surfaces import classify_surface, surface_of_pair
 
 __all__ = ["main", "run"]
-
-ORACLE_CAP = 8
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _cmd_generate(args) -> int:
@@ -70,7 +64,7 @@ def _cmd_events(args) -> int:
     if args.format == "csv":
         sys.stdout.write(events_to_csv(events))
     else:
-        sys.stdout.write(_json_text(events_to_json(events)))
+        sys.stdout.write(json_text(events_to_json(events)))
     return 0
 
 
@@ -99,7 +93,7 @@ def _cmd_pair_surface(args) -> int:
             rational_str(cls.collision_time) if cls.collision_time is not None else None
         ),
     }
-    sys.stdout.write(_json_text(payload))
+    sys.stdout.write(json_text(payload))
     return 0
 
 
@@ -114,11 +108,11 @@ def _cmd_verify(args) -> int:
     ok = audit.passed
     if args.oracle:
         oracle_match = events_to_json(enumerate_events(scene, 3)) == events_to_json(
-            brute_force_events(scene, max_points=ORACLE_CAP)
+            brute_force_events(scene)
         )
         payload["oracle_match"] = oracle_match
         ok = ok and oracle_match
-    sys.stdout.write(_json_text(payload))
+    sys.stdout.write(json_text(payload))
     return 0 if ok else 3
 
 

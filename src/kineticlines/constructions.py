@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .exact_numbers import RATIONAL_DIGIT_LIMIT
 from .kinematics import KineticPoint, Scene, triple_polynomials
 
 __all__ = [
@@ -99,6 +100,11 @@ def _tight_scene(construction: str, n: int, bits: int, speed_of) -> Scene:
         raise ValueError("tight scenes need n >= 3")
     if bits < 0:
         raise ValueError(f"precision_bits must be non-negative, got {bits}")
+    # a coordinate's denominator is 2**bits, which must stay under the
+    # scene digit limit; refused before pi is computed to that precision
+    max_bits = (10**RATIONAL_DIGIT_LIMIT - 1).bit_length() - 1
+    if bits > max_bits:
+        raise ValueError(f"precision_bits must be at most {max_bits} (digit limit), got {bits}")
     frac = bits + _GUARD_BITS
     one = 1 << frac
     pi = 4 * (4 * _arccot(5, one) - _arccot(239, one))

@@ -17,9 +17,9 @@ their line, and union-find over shared pairs serves only irrational
 buckets of two or more triples and always_collinear_groups.
 
 enumerate_events alone builds events: the times of the kept buckets from
-one exact_numbers.key_times call, their order from time_order, and at
-each time an event per line, a pair bucket's lines found once for both
-of its times. audit_bounds and count_k_collinearities stop at lines and
+one exact_numbers.key_times call, each kept bucket's lines found once,
+their order from time_order, and at each time an event per line of its
+bucket. audit_bounds and count_k_collinearities stop at lines and
 count a pair bucket's twice, with no time built, no radicand reduced, no
 sort and no event object.
 
@@ -300,9 +300,10 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     The kept buckets of _buckets become their AlgebraicTimes in one
     key_times call, a pair key giving its two, and time_order orders the
     times by index, by the bounds key_times built, with no time hashed.
-    A pair bucket's lines serve both of its times. At k_min >= 4 a
-    one-triple bucket holds no event (see _bucket_lines) and is dropped
-    before either step.
+    Each kept bucket's lines are found once, before the walk over times,
+    and serve all of its times; a one-triple bucket at an irrational time
+    is its own event and needs none. At k_min >= 4 a one-triple bucket
+    holds no event (see _bucket_lines) and is dropped before either step.
     """
     if k_min < 3:
         raise ValueError("k_min must be at least 3")
@@ -310,22 +311,19 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     times = key_times([key for key, _ in kept])
     # key_times gives a rational key (num, den) one time, a pair key two
     bucket_of = [i for i, (key, _) in enumerate(kept) for _ in range(len(key) // 2)]
-    pair_lines: dict[int, _Lines] = {}
+    lines = [
+        None if len(key) > 2 and len(roots) == 1 else _bucket_lines(key, roots)
+        for key, roots in kept
+    ]
     events: list[CollinearityEvent] = []
     for j in time_order(times):
         t, i = times[j], bucket_of[j]
-        key, roots = kept[i]
-        if len(key) == 2:
-            events += _line_events(t, _bucket_lines(key, roots), k_min)
-        elif len(roots) == 1:
-            a, b, c, _ = roots[0]
+        if lines[i] is None:
+            a, b, c, _ = kept[i][1][0]
             members = tuple(sorted((a.id, b.id, c.id)))
             events.append(CollinearityEvent(t, members, 3, members[:2], False, False))
         else:
-            lines = pair_lines.pop(i, None)
-            if lines is None:
-                lines = pair_lines[i] = _bucket_lines(key, roots)
-            events += _line_events(t, lines, k_min)
+            events += _line_events(t, lines[i], k_min)
     return events
 
 
@@ -478,10 +476,14 @@ def _bf_orientation(pa, pb, pc) -> AlgebraicTime:
     return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
 
 
+# the largest scene brute_force_events takes unless its caller raises the cap
+ORACLE_CAP = 8
+
+
 def brute_force_events(
     scene: Scene,
     time_candidates: Optional[Iterable[TimeLike]] = None,
-    max_points: int = 8,
+    max_points: int = ORACLE_CAP,
 ) -> list[CollinearityEvent]:
     """Oracle re-derivation of the full event list for small scenes.
 

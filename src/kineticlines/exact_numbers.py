@@ -210,7 +210,8 @@ def _primorial_gcds(ns: Sequence[int]) -> list[int]:
 
 def _check_canonical(t: AlgebraicTime) -> None:
     """ValueError unless t's integers are in the canonical form that
-    AlgebraicTime states: every constructor but key_times runs it."""
+    AlgebraicTime states: every constructor but key_times, through which
+    make builds its irrational values, runs it."""
     if t.r <= 0:
         raise ValueError("denominator r must be positive")
     if (t.q == 0) != (t.d == 0):
@@ -236,21 +237,22 @@ class AlgebraicTime:
     found in d are folded into q, and a zero q forces d == 0.
 
     Every time the engine produces is an output of `make` or of
-    `key_times`. Both build a rational from its lowest-terms pair, as
-    `from_rational` does, and both reduce an irrational value's radicand
-    from the same integer, the square of its radical part in lowest terms
-    as num*den, by the same square_reduce_all. So equal values are equal
+    `key_times`. A rational is built from its lowest-terms pair, as
+    `from_rational` does. An irrational value a -+ sqrt(b), with a and b
+    in lowest terms, is built by key_times alone, from its pair key
+    (a, b): make hands its value's key to key_times, as root_keys' keys
+    are. The key depends on the value alone, so equal values are equal
     objects with equal hashes, which the oracle's set of candidate times
     and render's == on event times rely on; event bucketing keys roots by
     root_keys and hashes no time. test_equal_values_share_canonical_key
     tests this invariant.
 
     Every constructor checks the canonical form (_check_canonical) except
-    key_times, whose forms hold by construction: root_keys gives a
-    rational's lowest-terms pair with a positive denominator, and a pair
-    key's b_num*b_den is not a square (b is a non-square in lowest
-    terms), so its reduced d is neither 1 nor a square and m != 0;
-    key_times divides p, q, r by their gcd, and r = a_den*b_den > 0.
+    key_times, whose forms hold by construction: a rational key is a
+    lowest-terms pair with a positive denominator, and a pair key's
+    b_num*b_den is not a square (b is a non-square in lowest terms), so
+    its reduced d is neither 1 nor a square and m != 0; key_times divides
+    p, q, r by their gcd, and r = a_den*b_den > 0.
 
     +, -, * work inside one quadratic field, with int and Fraction
     operands taken as rationals; operands with two different radicands
@@ -285,11 +287,12 @@ class AlgebraicTime:
     def make(cls, p: int, q: int, d: int, r: int) -> "AlgebraicTime":
         """Canonicalize (p + q*sqrt(d))/r; collapses to a rational when possible.
 
-        The radicand is reduced from the square of the radical part,
-        q*q*d/(r*r) in lowest terms num/den, as the integer num*den. That
-        square depends on the value alone, so two spellings of one value
-        reduce the same integer and get the same canonical form, even when
-        a square factor escapes the trial division.
+        The value is a + sqrt(b) or a - sqrt(b), by the sign of q/r, for
+        a = p/r and b = q*q*d/(r*r) in lowest terms. b depends on the value
+        alone, so two spellings of one value give the same a and b. b is a
+        square exactly when b_num*b_den is one, m*m, and then sqrt(b) is
+        m/b_den and the value rational; otherwise the value is a time of
+        the pair key (a, b), which key_times builds.
         """
         if r == 0:
             raise ValueError("denominator r must be nonzero")
@@ -297,18 +300,12 @@ class AlgebraicTime:
             raise ValueError("radicand must be nonnegative")
         if q == 0 or d == 0:
             return _rational(p, r)
-        if r < 0:
-            p, q, r = -p, -q, -r
-        square, rr = q * q * d, r * r
-        g = math.gcd(square, rr)
-        den = rr // g
-        # |q|*sqrt(d)/r == m*sqrt(dd)/den
-        m, dd = square_reduce(square // g * den)
-        if q < 0:
-            m = -m
-        if dd == 1:
-            return _rational(p * den + m * r, r * den)
-        return _field_value(p * den, m * r, dd, r * den)
+        b_num, b_den = _lowest(q * q * d, r * r)
+        m = math.isqrt(b_num * b_den) * (1 if q * r > 0 else -1)
+        if m * m == b_num * b_den:
+            return _rational(p * b_den + m * r, r * b_den)
+        low, high = key_times([(*_lowest(p, r), b_num, b_den)])
+        return high if m > 0 else low
 
     @property
     def is_rational(self) -> bool:
@@ -388,12 +385,25 @@ class AlgebraicTime:
     def approx(self) -> float:
         """Float approximation; a display hint, never used for decisions.
 
-        The midpoint of the 64-bit bounds, which a time from key_times
-        carries from its construction, where time_order sorts by them.
+        A rational is p / r, correctly rounded. An irrational is the
+        midpoint of its 64-bit bounds, which a time from key_times carries
+        from its construction, where time_order sorts by them; below 2**-12
+        in size, where lo has fewer than 53 bits, the bounds are recomputed
+        with twice the bits until it has 53. A value beyond float range
+        gives inf or -inf.
         """
-        lo, hi = self._bounds64()
-        # int / int is correctly rounded
-        return (lo + hi) / (1 << 65)
+        try:
+            if self.q == 0:
+                # int / int is correctly rounded
+                return self.p / self.r
+            lo, hi = self._bounds64()
+            bits = 64
+            while abs(lo) < 1 << 52:
+                bits *= 2
+                lo, hi = self._bounds(bits)
+            return (lo + hi) / (1 << (bits + 1))
+        except OverflowError:
+            return math.inf * self.sign()
 
     def __lt__(self, other):
         return compare_times(self, other) < 0
@@ -586,9 +596,10 @@ def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
 
     A rational key (num, den) is the time num/den. A pair key gives
     a -+ sqrt(b) = (a_num*b_den -+ m*a_den*sqrt(d))/(a_den*b_den) with
-    b_num*b_den = m*m*d, the integer that AlgebraicTime.make reduces for
-    either value, so each time is the one make gives. One
-    square_reduce_all call reduces the batch's distinct radicands; then
+    b_num*b_den = m*m*d. This is the one place an irrational time's
+    radicand is reduced and its canonical form built; AlgebraicTime.make
+    comes here with its value's pair key. One square_reduce_all call
+    reduces the batch's distinct radicands; then
     a pair takes one gcd(p, q, r) and one isqrt(d << 128), from which
     _interval gives both roots the bounds that _bounds(64) computes.
     These forms are canonical by construction (see AlgebraicTime) and

@@ -15,11 +15,10 @@ of two stored differences. That is D_a**2*D_b*D_c times the rational
 determinant, a positive multiple, so its roots and signs are the same,
 and the event pipeline keys them with root_keys without building a
 Fraction. It is the one place the triple determinant is expanded:
-collinearity_polynomial is its one-triple case over Fraction, and
-classify_triple is solve_quadratic of that polynomial. The exception is
-surfaces.surface_of_pair, which expands the pair surface F(x, y, t) over
-Fraction for the surface geometry: F_ab evaluated along c's motion is the
-rational determinant of (a, b, c), but no event is found from it.
+collinearity_polynomial is its one-triple case over Fraction,
+classify_triple is solve_quadratic of that polynomial, and
+surfaces.surface_of_pair reads the pair surface F_ab(x, y, t) off it, as
+the determinant of (a, b) and a point parked at (x, y).
 """
 
 from __future__ import annotations

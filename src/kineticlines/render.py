@@ -16,13 +16,14 @@ produce byte-identical documents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .events import CollinearityEvent, enumerate_events
 from .exact_numbers import AlgebraicTime
-from .kinematics import Scene, position_at, position_at_rational
+from .kinematics import Scene, position_at
 
 __all__ = ["render_scene", "render_at_events"]
 
@@ -191,10 +192,19 @@ def _documents(scene: Scene, frames: Sequence[_Frame]) -> list[str]:
     return [_frame_svg(frame, view, velocities) for frame in frames]
 
 
+def _float_positions(scene: Scene, t: AlgebraicTime) -> dict:
+    """Each point's position at t as floats, by approx; ValueError when t or
+    a position lies beyond float range, where nothing can be drawn."""
+    positions = {p.id: tuple(v.approx() for v in position_at(p, t)) for p in scene.points}
+    values = (t.approx(), *(v for xy in positions.values() for v in xy))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"t = {t} is beyond float range and cannot be drawn")
+    return positions
+
+
 def _rational_frame(scene: Scene, t: Fraction, events: Sequence[CollinearityEvent]) -> _Frame:
-    exact = {p.id: position_at_rational(p, t) for p in scene.points}
-    positions = {pid: (float(x), float(y)) for pid, (x, y) in exact.items()}
     t_alg = AlgebraicTime.from_rational(t)
+    positions = _float_positions(scene, t_alg)
     lines = []
     for event in events:
         if event.time != t_alg:
@@ -205,10 +215,7 @@ def _rational_frame(scene: Scene, t: Fraction, events: Sequence[CollinearityEven
 
 
 def _event_frame(scene: Scene, event: CollinearityEvent) -> _Frame:
-    positions = {}
-    for p in scene.points:
-        x, y = position_at(p, event.time)
-        positions[p.id] = (x.approx(), y.approx())
+    positions = _float_positions(scene, event.time)
     a, b = event.anchors
     approximate = not event.time.is_rational
     joiner = "~" if approximate else "="
@@ -238,7 +245,9 @@ def render_scene(scene: Scene, times: Iterable[Fraction]) -> list[str]:
 def render_at_events(
     scene: Scene, k_min: int = 3
 ) -> tuple[list[CollinearityEvent], list[str]]:
-    """One SVG document per enumerated event, at the event's own time."""
+    """One SVG document per enumerated event, at the event's own time;
+    ValueError when an event's time or a position there lies beyond float
+    range."""
     events = enumerate_events(scene, k_min)
     if not events:
         raise ValueError("scene has no events to render")

@@ -83,9 +83,14 @@ def scene_from_json(data: dict) -> Scene:
     return Scene(tuple(points), meta=meta)
 
 
+def json_text(payload) -> str:
+    """payload as the JSON text that scene files and the CLI write: keys
+    sorted, two-space indents and a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def save_scene(scene: Scene, path: Union[str, Path]) -> None:
-    text = json.dumps(scene_to_json(scene), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(scene_to_json(scene)), encoding="utf-8")
 
 
 def load_scene(path: Union[str, Path]) -> Scene:

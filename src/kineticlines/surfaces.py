@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .exact_numbers import AlgebraicTime
-from .kinematics import KineticPoint, TimeLike, collision_time
+from .kinematics import KineticPoint, TimeLike, collinearity_polynomial, collision_time
 
 __all__ = [
     "SurfaceClass",
@@ -30,6 +30,9 @@ __all__ = [
 Plane = tuple[Fraction, Fraction, Fraction, Fraction]
 
 CoordLike = Union[AlgebraicTime, Fraction, int]
+
+# points parked at (0, 0), (1, 0) and (0, 1), where surface_of_pair reads F
+_PARKED = tuple(KineticPoint.make("", pos, (0, 0)) for pos in ((0, 0), (1, 0), (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -84,25 +87,15 @@ class SurfaceClass:
 def surface_of_pair(a: KineticPoint, b: KineticPoint) -> SurfacePolynomial:
     """The seven coefficients of F for the pair (a, b).
 
-    Expansion of the determinant with the free point's row first:
-    the x block is y_a(t) - y_b(t), the y block is x_b(t) - x_a(t), and
-    the constant block is x_a(t)*y_b(t) - x_b(t)*y_a(t).
+    F(x, y, t) is det(a, b, P) for a point P parked at (x, y), the cyclic
+    shift of the rows above. So collinearity_polynomial(a, b, P) at P =
+    (0, 0) gives the t-only block, and since F is linear in x and y, its
+    differences at (1, 0) and (0, 1) give the x and y blocks.
     """
     if a.pos == b.pos and a.vel == b.vel:
         raise ValueError("pair surface needs two distinct kinetic points")
-    pxa, pya = a.pos
-    vxa, vya = a.vel
-    pxb, pyb = b.pos
-    vxb, vyb = b.vel
-    return SurfacePolynomial(
-        coeff_x=pya - pyb,
-        coeff_xt=vya - vyb,
-        coeff_y=pxb - pxa,
-        coeff_yt=vxb - vxa,
-        coeff_1=pxa * pyb - pxb * pya,
-        coeff_t=pxa * vyb + vxa * pyb - pxb * vya - vxb * pya,
-        coeff_tt=vxa * vyb - vxb * vya,
-    )
+    (tt, t, one), (_, xt, x), (_, yt, y) = (collinearity_polynomial(a, b, p) for p in _PARKED)
+    return SurfacePolynomial(x - one, xt - t, y - one, yt - t, one, t, tt)
 
 
 def classify_surface(a: KineticPoint, b: KineticPoint) -> SurfaceClass:

@@ -38,3 +38,21 @@ def make_scene(*specs) -> Scene:
     return Scene(
         tuple(KineticPoint.make(pid, pos, vel) for pid, pos, vel in specs)
     )
+
+
+def far_time_scene() -> Scene:
+    """A valid scene whose one event is at a rational time near 10**313,
+    beyond float range. a is parked at the origin, and b and c share the
+    velocity (1/q1, 1/q2); x, y and b make the determinant
+    b*y + t/(q1*q2*q3), so abc is collinear once, at t = -b*y*q1*q2*q3."""
+    q1, q2, q3 = 10**63 + 7, 10**63 + 9, 10**63 + 13
+    y = pow(q2 * q3, -1, q1)
+    x_wide = (y * q2 * q3 - 1) // q1
+    x = x_wide % q3
+    b = (x - x_wide) // q3
+    vel = (Fraction(1, q1), Fraction(1, q2))
+    return make_scene(
+        ("a", (0, 0), (0, 0)),
+        ("b", (b, 0), vel),
+        ("c", (Fraction(x, q3), y), vel),
+    )

@@ -8,7 +8,7 @@ from kineticlines import BoundAudit, gen_no_collinearity, save_scene
 from kineticlines.cli import main
 from kineticlines.sceneio import EVENTS_CSV_HEADER
 
-from conftest import make_scene
+from conftest import far_time_scene, make_scene
 
 
 def write_crossing_scene(tmp_path):
@@ -107,6 +107,27 @@ class TestEvents:
         path = write_crossing_scene(tmp_path)
         assert main(["events", str(path), "--kmin", "4"]) == 0
         assert json.loads(capsys.readouterr().out) == []
+
+    def test_csv_time_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        save_scene(far_time_scene(), path)
+        assert main(["events", str(path), "--format", "csv"]) == 0
+        (record,) = capsys.readouterr().out.splitlines()[1:]
+        time, approx, *_ = record.split(",")
+        assert len(time) > 313 and approx == "inf"
+
+    def test_csv_small_time_digits(self, tmp_path, capsys):
+        # c crosses the line ab at t = 1/10**15
+        path = tmp_path / "small.json"
+        scene = make_scene(
+            ("a", (0, 0), (0, 0)),
+            ("b", (1, 0), (0, 0)),
+            ("c", (0, "-1/1000000000000000"), (0, 1)),
+        )
+        save_scene(scene, path)
+        assert main(["events", str(path), "--format", "csv"]) == 0
+        records = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split(",")[:2] for r in records] == [["1/1000000000000000", "1e-15"]]
 
     def test_malformed_scene_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -284,6 +305,14 @@ class TestRender:
         out_dir = tmp_path / "frames"
         assert main(["render", str(path), "--times", "0", "-o", str(out_dir)]) == 1
         assert "not encodable as UTF-8" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_event_beyond_float_range_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        save_scene(far_time_scene(), path)
+        out_dir = tmp_path / "frames"
+        assert main(["render", str(path), "--at-events", "-o", str(out_dir)]) == 2
+        assert "beyond float range" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_times_and_at_events_exclusive(self, tmp_path):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,6 +114,17 @@ class TestTight:
         for gen in (gen_tight, gen_tight_ellipse):
             with pytest.raises(ValueError, match="precision_bits must be non-negative, got -1"):
                 gen(4, precision_bits=-1)
+
+    def test_precision_over_digit_limit_refused_at_once(self):
+        # 2**212 < 10**64 < 2**213: a 213-bit grid's denominator is over
+        # the scene digit limit, and the refusal comes before pi is computed
+        for gen in (gen_tight, gen_tight_ellipse):
+            assert len(gen(4, precision_bits=212)) == 4
+            for bits in (213, 40_000, 10**7):
+                start = time.perf_counter()
+                with pytest.raises(ValueError, match="at most 212"):
+                    gen(4, precision_bits=bits)
+                assert time.perf_counter() - start < 0.1
 
 
 # (generator, n, bits, failing certificate triples, sha256 of

@@ -226,7 +226,7 @@ class TestEnumerateEvents:
             everything = enumerate_events(s)
             assert enumerate_events(s, 4) == [e for e in everything if e.k >= 4]
 
-    def test_one_triple_irrational_buckets_skip_bucket_events(self, monkeypatch):
+    def test_one_triple_irrational_buckets_find_no_lines(self, monkeypatch):
         # every bucket of the tight scenes holds one triple at an irrational
         # time, so none of them may reach _bucket_lines, on either path
         def refuse(*args):
@@ -236,6 +236,31 @@ class TestEnumerateEvents:
         assert len(enumerate_events(gen_tight(8))) == 2 * math.comb(8, 3)
         audit = audit_bounds(gen_tight(8), 3)
         assert audit.event_count == audit.event_count_3 == audit.triple_incidences == 112
+
+    @pytest.mark.parametrize(
+        "build", [lambda: gen_lower_bound(16, 4), lambda: sqrt2_scene()], ids=["lower16-4", "sqrt2"]
+    )
+    def test_lines_found_once_per_kept_bucket(self, build, monkeypatch):
+        # each kept bucket's lines are found once for all of its times,
+        # save a lone triple's at an irrational time, which needs none
+        scene = build()
+        buckets = kineticlines.events._buckets(scene)[0]
+        calls = []
+        bucket_lines = kineticlines.events._bucket_lines
+        monkeypatch.setattr(
+            kineticlines.events,
+            "_bucket_lines",
+            lambda key, roots: calls.append(key) or bucket_lines(key, roots),
+        )
+        for k_min in (3, 4):
+            calls.clear()
+            assert enumerate_events(scene, k_min)
+            want = [
+                key
+                for key, roots in buckets.items()
+                if (k_min == 3 or len(roots) > 1) and (len(key) == 2 or len(roots) > 1)
+            ]
+            assert want and sorted(calls) == sorted(want)
 
     def test_k4_sorts_no_time(self, monkeypatch):
         # at k_min >= 4 every one-triple bucket, here all of them, is
@@ -580,8 +605,12 @@ class TestAuditBounds:
             audit_bounds(s, 3)
         assert calls == []
         enumerate_events(scenes[0])
-        AlgebraicTime.make(1, 1, 2, 1)
-        assert calls == [2]
+        # make builds its irrational value through key_times, which reduces
+        # with square_reduce_all alone
+        assert AlgebraicTime.make(1, 1, 2, 1) == kineticlines.exact_numbers.key_times(
+            [(1, 1, 2, 1)]
+        )[1]
+        assert calls == []
 
     def test_json_shape(self):
         payload = audit_bounds(quadratic_pair_scene(), 3).to_json()

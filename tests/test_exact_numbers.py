@@ -349,13 +349,21 @@ def make_roots(c2: int, c1: int, c0: int):
 
 def assert_built_once(times):
     """Each time from key_times is in the canonical form that every other
-    constructor checks, and carries the 64-bit bounds and the approx that
-    a fresh _bounds(64) gives."""
+    constructor checks, and carries the 64-bit bounds that a fresh
+    _bounds(64) gives. approx is p / r for a rational, the bounds'
+    midpoint for an irrational with |lo| >= 2**52, and within 2**-50 of
+    the value for a smaller one."""
     for t in times:
         exact_numbers._check_canonical(t)
         lo, hi = t._bounds(64)
         assert t._bounds64() == (lo, hi)
-        assert t.approx() == (lo + hi) / 2**65
+        if t.q == 0:
+            assert t.approx() == t.p / t.r
+        elif abs(lo) >= 1 << 52:
+            assert t.approx() == (lo + hi) / 2**65
+        else:
+            lo, hi = reference_brackets(t, 1024)
+            assert math.isclose(t.approx(), (lo + hi) / 2**1025, rel_tol=2**-50)
 
 
 def assert_keys_match_make(c2: int, c1: int, c0: int):
@@ -629,21 +637,27 @@ class TestTrustedConstruction:
                 AlgebraicTime.from_json({"kind": "rational", "value": f"{p}/{r}"})
 
     def test_other_constructors_carry_no_bounds(self):
-        # only key_times carries bounds; every other time computes them
+        # key_times carries bounds, and so do make and from_json on an
+        # irrational value, which they build through key_times; every
+        # other time computes them
         # 1/3, then the upper root of the pair key for -+sqrt(2)
         built = key_times([(1, 3), (0, 1, 2, 1)])[::2]
+        through = [
+            AlgebraicTime.make(0, 1, 2, 1),
+            AlgebraicTime.from_json(built[1].to_json()),
+        ]
         others = [
             AlgebraicTime(1, 0, 0, 3),
-            AlgebraicTime.make(0, 1, 2, 1),
             AlgebraicTime.from_rational(F(1, 3)),
-            AlgebraicTime.from_json(built[1].to_json()),
             built[1] + 1,
             -built[1],
         ]
-        assert built == [others[0], others[1]]
+        assert built == [others[0], through[0]] and through[1] == built[1]
         assert all(t._lo64 is None for t in others)
-        assert [t._bounds64() for t in others[:2]] == [t._bounds64() for t in built]
-        assert [t.approx() for t in others[:2]] == [t.approx() for t in built]
+        assert all(t._lo64 is not None for t in through)
+        assert [t._bounds64() for t in through] == [built[1]._bounds(64)] * 2
+        assert [t._bounds64() for t in (others[0], through[0])] == [t._bounds64() for t in built]
+        assert [t.approx() for t in (others[0], through[0])] == [t.approx() for t in built]
 
     @given(
         st.lists(st.tuples(*[st.integers(-(10**4), 10**4)] * 3), min_size=1, max_size=20),
@@ -658,6 +672,67 @@ class TestTrustedConstruction:
         got = [mixed[i] for i in time_order(mixed)]
         assert all(compare_times(x, y) <= 0 for x, y in zip(got, got[1:]))
         assert got == sorted(mixed, key=cmp_to_key(compare_times))
+
+    @given(
+        st.integers(-(10**30), 10**30),
+        st.integers(-(10**30), 10**30),
+        st.one_of(st.integers(0, 10**6), st.integers(0, 2**200)),
+        st.integers(-(10**30), 10**30).filter(bool),
+    )
+    @settings(max_examples=300)
+    def test_make_builds_through_key_times(self, p, q, d, r):
+        # make's irrational values come from key_times: canonical, with the
+        # bounds that _bounds(64) gives, and equal to the other spelling
+        # (p*m + q*sqrt(d*m*m))/(r*m) of the same value
+        t = AlgebraicTime.make(p, q, d, r)
+        exact_numbers._check_canonical(t)
+        if t.is_rational:
+            assert t._lo64 is None
+        else:
+            assert t._bounds64() == t._bounds(64) and t._lo64 is not None
+        assert AlgebraicTime.make(p * 6, q, d * 36, r * 6) == t
+        assert AlgebraicTime.from_json(t.to_json()) == t
+
+
+class TestApprox:
+    def test_rational_is_correctly_rounded(self):
+        # the midpoint of the 64-bit bounds gave 9.99986768738e-16 here
+        assert AlgebraicTime.from_rational(F(1, 10**15)).approx() == 1e-15
+        for value in (F(-1, 3), F(1, 2107), F(7, 2**70), F(10**300, 7)):
+            t = AlgebraicTime.from_rational(value)
+            assert t.approx() == value.numerator / value.denominator
+
+    def test_small_irrational_keeps_its_digits(self):
+        # at 64 fractional bits sqrt(2)/10**12 holds 25 bits, and the
+        # midpoint read 1.41421355e-12
+        assert AlgebraicTime.make(0, 1, 2, 10**12).approx() == 1.414213562373095e-12
+        # the small root of t*t - 2*10**6*t + 1, about 5e-7
+        small = solve_quadratic(1, -2 * 10**6, 1).roots[0]
+        lo, hi = reference_brackets(small, 256)
+        assert math.isclose(small.approx(), (lo + hi) / 2**257, rel_tol=2**-52)
+
+    @given(
+        st.integers(1, 10**6),
+        st.integers(-(10**6), 10**6).filter(bool),
+        st.integers(2, 10**4),
+        st.integers(13, 400),
+    )
+    @settings(max_examples=200)
+    def test_small_irrationals_within_float_precision(self, p, q, d, scale):
+        t = AlgebraicTime.make(p, q, d, 10**scale)
+        if t.is_rational:
+            return
+        lo, hi = reference_brackets(t, 2048)
+        assert math.isclose(t.approx(), (lo + hi) / 2**2049, rel_tol=2**-50)
+
+    def test_beyond_float_range_is_infinite(self):
+        big = 10**400
+        assert AlgebraicTime.from_rational(big).approx() == math.inf
+        assert AlgebraicTime.from_rational(F(-big, 3)).approx() == -math.inf
+        assert AlgebraicTime.make(big, 1, 2, 1).approx() == math.inf
+        assert AlgebraicTime.make(-big, 1, 2, 1).approx() == -math.inf
+        # and below it, zero
+        assert AlgebraicTime.make(0, -1, 2, big).approx() == 0.0
 
 
 def sqrt2_convergents(count):

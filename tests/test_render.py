@@ -14,7 +14,7 @@ from kineticlines import (
     render_scene,
 )
 
-from conftest import make_scene
+from conftest import far_time_scene, make_scene
 
 F = Fraction
 
@@ -113,6 +113,11 @@ class TestRenderAtEvents:
     def test_respects_k_min(self):
         with pytest.raises(ValueError):
             render_at_events(crossing_scene(), k_min=4)
+
+    def test_time_beyond_float_range_rejected(self):
+        # every position stays finite there; the time does not
+        with pytest.raises(ValueError, match="beyond float range"):
+            render_at_events(far_time_scene())
 
 
 def test_characters_xml_forbids_become_replacement_characters():

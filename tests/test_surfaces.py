@@ -59,6 +59,25 @@ class TestSurfaceOfPair:
 
     @given(pairs())
     @settings(max_examples=200)
+    def test_matches_the_hand_expanded_determinant(self, pair):
+        # the pair surface expanded by hand over Fraction, with the free
+        # point's row first, against the coefficients read off the triple
+        # determinant at three parked points
+        a, b = pair
+        (pxa, pya), (vxa, vya) = a.pos, a.vel
+        (pxb, pyb), (vxb, vyb) = b.pos, b.vel
+        assert surface_of_pair(a, b).coefficients() == (
+            pya - pyb,
+            vya - vyb,
+            pxb - pxa,
+            vxb - vxa,
+            pxa * pyb - pxb * pya,
+            pxa * vyb + vxa * pyb - pxb * vya - vxb * pya,
+            vxa * vyb - vxb * vya,
+        )
+
+    @given(pairs())
+    @settings(max_examples=200)
     def test_defining_trajectories_lie_in_zero_set(self, pair):
         a, b = pair
         surf = surface_of_pair(a, b)
