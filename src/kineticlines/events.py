@@ -6,15 +6,17 @@ not collinear at every time. Events are maximal: members are every scene
 point on the line at that time.
 
 Enumeration is three layers: buckets, lines, events. _buckets makes one
-pass over pivot fans (kinematics.triple_polynomials) and puts every
-triple whose polynomial has a root into a bucket under each of its
+pass over pivot fans (kinematics.triple_polynomials), which yields only
+the triples with a nonnegative discriminant, and puts every triple whose
+polynomial has a root into a bucket under each of its
 exact_numbers.root_keys keys: plain integers, a rational time's
 lowest-terms pair, or one key for an irrational conjugate pair
-a -+ sqrt(b), whose two times hold the same triples. _bucket_lines finds
-a bucket's lines with their member ids, tangential flags and triple
-incidences: a rational bucket groups its triples by the integer key of
-their line, and union-find over shared pairs serves only irrational
-buckets of two or more triples and always_collinear_groups.
+a -+ sqrt(b), whose two times hold the same triples. The enumeration
+path here expands no determinant and tests no discriminant.
+_bucket_lines finds a bucket's lines with their member ids, tangential
+flags and triple incidences: a rational bucket groups its triples by the
+integer key of their line, and union-find over shared pairs serves only
+irrational buckets of two or more triples and always_collinear_groups.
 
 enumerate_events alone builds events: the times of the kept buckets from
 one exact_numbers.key_times call, each kept bucket's lines found once,
@@ -150,20 +152,22 @@ def _buckets(scene: Scene) -> tuple[dict[RootKey, list[_Root]], int]:
     number of always-collinear triples.
 
     One pass over the pivot fans of triple_polynomials, looked up on this
-    module at call time, gives each triple's integer polynomial. A triple
-    with a negative discriminant is skipped before any call; root_keys
-    reports the rest, counting an identically zero polynomial as an
-    always-collinear triple and a double root as tangential. Equal times
-    have equal keys, so a bucket holds every root triple at its time. An
-    integer polynomial with the root a + sqrt(b) or a - sqrt(b), b a
-    rational non-square, has both, so one pair bucket under (a, b), with
-    one record per triple, holds every root triple at each of the two.
+    module at call time, gives the integer polynomial of each triple with
+    a nonnegative discriminant; the generator drops the rest, which have
+    no real root, and keeps a zero discriminant, so an identically zero
+    polynomial still arrives. root_keys reports each, counting an
+    identically zero polynomial as an always-collinear triple and a
+    double root as tangential. Equal times have equal keys, so a bucket
+    holds every root triple at its time. An integer polynomial with the
+    root a + sqrt(b) or a - sqrt(b), b a rational non-square, has both,
+    so one pair bucket under (a, b), with one record per triple, holds
+    every root triple at each of the two.
     """
     by_key: dict[RootKey, list[_Root]] = {}
     always = 0
-    for a, b, c, c2, c1, c0 in triple_polynomials(scene.points):
-        if c1 * c1 - 4 * c2 * c0 < 0:
-            continue
+    for a, b, c, c2, c1, c0 in triple_polynomials(
+        scene.points, skip_negative_discriminant=True
+    ):
         keys, identically_zero, double_root = root_keys(c2, c1, c0)
         always += identically_zero
         for key in keys:
@@ -342,7 +346,9 @@ def always_collinear_groups(scene: Scene) -> list[tuple[str, ...]]:
     """
     links = [
         [(a.id, b.id), (a.id, c.id), (b.id, c.id)]
-        for a, b, c, c2, c1, c0 in triple_polynomials(scene.points)
+        for a, b, c, c2, c1, c0 in triple_polynomials(
+            scene.points, skip_negative_discriminant=True
+        )
         if c2 == c1 == c0 == 0
     ]
     return sorted(

@@ -387,10 +387,12 @@ class AlgebraicTime:
 
         A rational is p / r, correctly rounded. An irrational is the
         midpoint of its 64-bit bounds, which a time from key_times carries
-        from its construction, where time_order sorts by them; below 2**-12
-        in size, where lo has fewer than 53 bits, the bounds are recomputed
-        with twice the bits until it has 53. A value beyond float range
-        gives inf or -inf.
+        from its construction, where time_order sorts by them. Those
+        bounds are about |q|/r units wide, so they are recomputed with
+        twice the bits until lo has 53 bits (below 2**-12 in size it has
+        fewer) and the width is at most 2 units or at most |lo| / 2**52:
+        then the midpoint is within about one float ulp. A value beyond
+        float range gives inf or -inf.
         """
         try:
             if self.q == 0:
@@ -398,7 +400,7 @@ class AlgebraicTime:
                 return self.p / self.r
             lo, hi = self._bounds64()
             bits = 64
-            while abs(lo) < 1 << 52:
+            while abs(lo) < 1 << 52 or (hi - lo > 2 and (hi - lo) << 52 > abs(lo)):
                 bits *= 2
                 lo, hi = self._bounds(bits)
             return (lo + hi) / (1 << (bits + 1))
@@ -426,13 +428,15 @@ class AlgebraicTime:
         if self.q == 0:
             # canonical p/r is already in lowest terms with r > 0
             return {"kind": "rational", "value": f"{self.p}/{self.r}"}
+        approx = self.approx()
         return {
             "kind": "quadratic",
             "p": str(self.p),
             "q": str(self.q),
             "d": self.d,
             "r": str(self.r),
-            "approx": self.approx(),
+            # strict JSON has no Infinity; from_json ignores this field
+            "approx": approx if math.isfinite(approx) else None,
         }
 
     @classmethod

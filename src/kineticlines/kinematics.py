@@ -10,12 +10,14 @@ Classification runs on integers. Each point carries a homogeneous form
 common denominator of its four coordinates, computed once per point.
 triple_polynomials expands the determinant over these integers in pivot
 fans: for each pivot a, the difference b - a to each later point is
-computed once, over D_a*D_b, and a triple (a, b, c) is one cross product
-of two stored differences. That is D_a**2*D_b*D_c times the rational
+computed once, over D_a*D_b, and a triple (a, b, c) is six products of
+two stored differences. That is D_a**2*D_b*D_c times the rational
 determinant, a positive multiple, so its roots and signs are the same,
 and the event pipeline keys them with root_keys without building a
-Fraction. It is the one place the triple determinant is expanded:
-collinearity_polynomial is its one-triple case over Fraction,
+Fraction. It is the one place the triple determinant is expanded, and
+the one place its discriminant is tested: the event pipeline asks it to
+drop the triples with a negative discriminant, and gets no tuple for
+them. collinearity_polynomial is its one-triple case over Fraction,
 classify_triple is solve_quadratic of that polynomial, and
 surfaces.surface_of_pair reads the pair surface F_ab(x, y, t) off it, as
 the determinant of (a, b) and a point parked at (x, y).
@@ -150,33 +152,41 @@ def position_at_rational(point: KineticPoint, t: RationalLike) -> Coord:
 
 
 def triple_polynomials(
-    points: Sequence[KineticPoint],
+    points: Sequence[KineticPoint], *, skip_negative_discriminant: bool = False
 ) -> Iterator[tuple[KineticPoint, KineticPoint, KineticPoint, int, int, int]]:
     """(a, b, c, c2, c1, c0) for every triple of points, in combinations
     order, with (c2, c1, c0) the integer collinearity polynomial scaled by
-    D_a**2*D_b*D_c.
+    D_a**2*D_b*D_c; with skip_negative_discriminant, only the triples with
+    c1**2 >= 4*c2*c0, in the same order.
 
     For each pivot a, the linear-in-t difference b - a to each later point
-    b is kept as integers (x0, x1, y0, y1) over D_a*D_b, so the O(n**2)
-    differences are computed once and each triple costs one cross product
-    of two of them; the degree never exceeds 2.
+    b is kept as integers (x0, x1, y0, y1) over D_a*D_b, with the sums
+    x0 + x1 and y0 + y1, so the O(n**2) differences are computed once. A
+    triple's differences u and v give c2 = cross(u1, v1), c0 =
+    cross(u0, v0) and c1 = cross(u0 + u1, v0 + v1) - c2 - c0: six
+    products, and the degree never exceeds 2.
+
+    A negative discriminant means no real root, so such a triple is never
+    collinear and the event pipeline skips it here, before a tuple is
+    built. A zero discriminant is kept: it is a double root, a nonzero
+    constant (no root), or the identically zero polynomial of an
+    always-collinear triple, which the pipeline counts.
     """
     forms = [(pt, pt.homogeneous) for pt in points]
     for i, (a, (ax, ay, avx, avy, ad)) in enumerate(forms):
-        fan = [
-            (b, bx * ad - ax * bd, bvx * ad - avx * bd, by * ad - ay * bd, bvy * ad - avy * bd)
-            for b, (bx, by, bvx, bvy, bd) in forms[i + 1 :]
-        ]
-        for j, (b, ux0, ux1, uy0, uy1) in enumerate(fan):
-            for c, vx0, vx1, vy0, vy1 in fan[j + 1 :]:
-                yield (
-                    a,
-                    b,
-                    c,
-                    ux1 * vy1 - uy1 * vx1,
-                    ux0 * vy1 + ux1 * vy0 - uy0 * vx1 - uy1 * vx0,
-                    ux0 * vy0 - uy0 * vx0,
-                )
+        fan = []
+        for b, (bx, by, bvx, bvy, bd) in forms[i + 1 :]:
+            x0, x1 = bx * ad - ax * bd, bvx * ad - avx * bd
+            y0, y1 = by * ad - ay * bd, bvy * ad - avy * bd
+            fan.append((b, x0, x1, y0, y1, x0 + x1, y0 + y1))
+        for j, (b, ux0, ux1, uy0, uy1, uxs, uys) in enumerate(fan):
+            for c, vx0, vx1, vy0, vy1, vxs, vys in fan[j + 1 :]:
+                c2 = ux1 * vy1 - uy1 * vx1
+                c0 = ux0 * vy0 - uy0 * vx0
+                c1 = uxs * vys - uys * vxs - c2 - c0
+                if skip_negative_discriminant and c1 * c1 < 4 * c2 * c0:
+                    continue
+                yield (a, b, c, c2, c1, c0)
 
 
 def collinearity_polynomial(

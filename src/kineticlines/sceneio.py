@@ -84,9 +84,10 @@ def scene_from_json(data: dict) -> Scene:
 
 
 def json_text(payload) -> str:
-    """payload as the JSON text that scene files and the CLI write: keys
-    sorted, two-space indents and a final newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """payload as the strict JSON text that scene files and the CLI write:
+    keys sorted, two-space indents, a final newline, and no NaN or
+    Infinity, which strict parsers refuse."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def save_scene(scene: Scene, path: Union[str, Path]) -> None:

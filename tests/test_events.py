@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -461,9 +461,9 @@ class TestOneClassification:
         calls = []
         original = kineticlines.events.triple_polynomials
 
-        def counting(points):
+        def counting(points, **options):
             calls.append(points)
-            return original(points)
+            return original(points, **options)
 
         monkeypatch.setattr(kineticlines.events, "triple_polynomials", counting)
         for run in (lambda: audit_bounds(scene, 4), lambda: enumerate_events(scene)):
@@ -859,6 +859,66 @@ class TestSampledRootOracle:
         assert serialized(got) == serialized(want)
 
 
+def parameter_cube(m):
+    """The point (a, 0) moving with velocity (b, c), for each (a, b, c) in
+    [1..m]**3: m**3 points, all on y = 0 at t = 0."""
+    return make_scene(
+        *((f"{a}{b}{c}", (a, 0), (b, c)) for a, b, c in product(range(1, m + 1), repeat=3))
+    )
+
+
+def cube_event_counts(m, ks):
+    """The number of events of parameter_cube(m) with at least k members,
+    for each k in ks, counted in parameter space with integer cross
+    products only.
+
+    At time t a point is at L_t(a, b, c) = (a + t*b, t*c), linear in the
+    parameters. At t = 0 every point is on y = 0: one event of all m**3
+    points. For t != 0, L_t has rank 2 and kernel (-t, 1, 0), so the line
+    of an event pulls back to a lattice plane holding that direction:
+    with normal (n1, n2, n3), t = n2/n1, and n1*n2 != 0 (n1 == 0 forces
+    n2 == 0, the planes c = const, which move as horizontal lines and are
+    collinear at every time). The members are the cube points on the
+    plane, and as they span it they are not collinear at every time. So
+    there is one event per plane with n1*n2 != 0 spanned by cube points,
+    with as many members as the plane holds cube points.
+    """
+    cube = list(product(range(1, m + 1), repeat=3))
+    planes = set()
+    for p, q, r in combinations(cube, 3):
+        (ux, uy, uz), (vx, vy, vz) = (
+            (q[0] - p[0], q[1] - p[1], q[2] - p[2]),
+            (r[0] - p[0], r[1] - p[1], r[2] - p[2]),
+        )
+        normal = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
+        if normal[0] * normal[1] == 0:
+            continue
+        g = math.gcd(*normal) * (1 if normal[0] > 0 else -1)
+        n1, n2, n3 = (x // g for x in normal)
+        planes.add((n1, n2, n3, n1 * p[0] + n2 * p[1] + n3 * p[2]))
+    sizes = [
+        sum(n1 * a + n2 * b + n3 * c == offset for a, b, c in cube)
+        for n1, n2, n3, offset in planes
+    ]
+    return [(len(cube) >= k) + sum(size >= k for size in sizes) for k in ks]
+
+
+class TestParameterCube:
+    # many always-collinear triples and buckets of thousands of root
+    # triples, whose zero discriminants the fan pass must keep
+    KS = (3, 4, 5, 6, 8)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_event_counts_match_lattice_planes(self, m):
+        scene = parameter_cube(m)
+        want = cube_event_counts(m, self.KS)
+        assert [audit_bounds(scene, k).event_count for k in self.KS] == want
+        assert len(enumerate_events(scene)) == want[0]
+
+    def test_oracle_agrees(self):
+        assert_oracle_agrees(parameter_cube(2))
+
+
 def sqrt2_scene():
     """Four points, every triple's polynomial a multiple of t^2 - 2: all
     four are collinear at t = -sqrt(2) and at t = sqrt(2) and at no other
@@ -871,9 +931,12 @@ def sqrt2_scene():
     )
 
 
-def small_scenes():
-    """Scenes of three to six points with distinct motions."""
-    motions = st.lists(st.tuples(coords(), coords()), min_size=3, max_size=6, unique=True)
+def small_scenes(coordinate=coords()):
+    """Scenes of three to six points with distinct motions, each position
+    and velocity drawn from coordinate."""
+    motions = st.lists(
+        st.tuples(coordinate, coordinate), min_size=3, max_size=6, unique=True
+    )
     return motions.map(
         lambda ms: Scene(
             tuple(KineticPoint.make(f"p{i}", pos, vel) for i, (pos, vel) in enumerate(ms))
@@ -949,6 +1012,70 @@ class TestConjugatePairs:
     @settings(max_examples=60, deadline=None)
     def test_conjugate_times_on_small_scenes(self, scene):
         assert_conjugates_match(scene)
+
+
+def assert_filtered_stream(points):
+    """With skip_negative_discriminant, triple_polynomials yields exactly
+    the triples of the full stream with c1**2 >= 4*c2*c0, in its order;
+    returns the filtered stream."""
+    every = list(triple_polynomials(points))
+    kept = list(triple_polynomials(points, skip_negative_discriminant=True))
+    assert kept == [row for row in every if row[4] * row[4] >= 4 * row[3] * row[5]]
+    return kept
+
+
+class TestDiscriminantFilter:
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            gen_lower_bound(16, 4),
+            gen_random(12, 1),
+            *mixed_denominator_grid_scenes(4, 2013),
+            *(build() for build in HAND_SCENES),
+        ],
+        ids=[
+            "lower_bound16-4",
+            "random12-1",
+            "grid0",
+            "grid1",
+            "grid2",
+            "grid3",
+            *(build.__name__ for build in HAND_SCENES),
+        ],
+    )
+    def test_filtered_stream_is_the_nonnegative_discriminants(self, scene):
+        assert_filtered_stream(scene.points)
+
+    @given(
+        st.one_of(
+            small_scenes(), small_scenes(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_filtered_stream_on_random_scenes(self, scene):
+        assert_filtered_stream(scene.points)
+
+    @pytest.mark.parametrize(
+        "specs, polynomial",
+        [
+            # one shared velocity: the determinant is the constant 1
+            ((("a", (0, 0), (1, 1)), ("b", (1, 0), (1, 1)), ("c", (0, 1), (1, 1))), (0, 0, 1)),
+            # a static column: identically zero, always collinear
+            ((("a", (0, 0), (0, 0)), ("b", (1, 0), (0, 0)), ("c", (2, 0), (0, 0))), (0, 0, 0)),
+            # tangential_scene's a, b and c: (t - 1)**2, a double root
+            ((("a", (0, 0), (0, 0)), ("b", (0, 1), (1, 0)), ("c", (-1, -2), (0, 1))), (1, -2, 1)),
+        ],
+        ids=["constant", "identically_zero", "double_root"],
+    )
+    def test_zero_discriminant_kept(self, specs, polynomial):
+        ((*_, c2, c1, c0),) = assert_filtered_stream(make_scene(*specs).points)
+        assert (c2, c1, c0) == polynomial
+
+    def test_negative_discriminant_dropped(self):
+        # quadratic_pair_scene moved so its determinant is t**2 + 4
+        scene = make_scene(("a", (0, 0), (0, 0)), ("b", (0, 1), (1, 0)), ("c", (-4, 0), (0, 1)))
+        assert list(triple_polynomials(scene.points)) != []
+        assert list(triple_polynomials(scene.points, skip_negative_discriminant=True)) == []
 
 
 def moved(scene, pos_of, vel_of, id_of=lambda pid: pid):

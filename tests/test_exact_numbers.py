@@ -1,5 +1,6 @@
 """Exact-number layer: canonical forms, quadratic solving, ordering."""
 
+import json
 import math
 import random
 import time
@@ -260,6 +261,13 @@ class TestAlgebraicTimeCanonicalForm:
         assert (quad["p"], quad["q"], quad["d"], quad["r"]) == ("1", "1", 2, "1")
         assert abs(quad["approx"] - (1 + 2**0.5)) < 1e-9
 
+    def test_json_beyond_float_range_is_strict(self):
+        # strict JSON has no Infinity: a non-finite approx is written null
+        for t in (AlgebraicTime.make(10**320, 1, 2, 1), AlgebraicTime.make(-(10**320), 1, 2, 1)):
+            obj = t.to_json()
+            assert obj["approx"] is None
+            assert AlgebraicTime.from_json(json.loads(json.dumps(obj, allow_nan=False))) == t
+
 
 class TestSolveQuadratic:
     def test_difference_of_squares(self):
@@ -351,15 +359,15 @@ def assert_built_once(times):
     """Each time from key_times is in the canonical form that every other
     constructor checks, and carries the 64-bit bounds that a fresh
     _bounds(64) gives. approx is p / r for a rational, the bounds'
-    midpoint for an irrational with |lo| >= 2**52, and within 2**-50 of
-    the value for a smaller one."""
+    midpoint for an irrational with |lo| >= 2**52 and bounds at most 2
+    units wide, and within 2**-50 of the value for any other."""
     for t in times:
         exact_numbers._check_canonical(t)
         lo, hi = t._bounds(64)
         assert t._bounds64() == (lo, hi)
         if t.q == 0:
             assert t.approx() == t.p / t.r
-        elif abs(lo) >= 1 << 52:
+        elif abs(lo) >= 1 << 52 and hi - lo <= 2:
             assert t.approx() == (lo + hi) / 2**65
         else:
             lo, hi = reference_brackets(t, 1024)
@@ -724,6 +732,32 @@ class TestApprox:
             return
         lo, hi = reference_brackets(t, 2048)
         assert math.isclose(t.approx(), (lo + hi) / 2**2049, rel_tol=2**-50)
+
+    def test_wide_bounds_keep_their_digits(self):
+        # the small root of t*t - 2*a*t + (a*a - 2*2**80) is a - 2**40*sqrt(2),
+        # about 0.26; its 64-bit bounds are about 2**40 units wide, and their
+        # midpoint read 0.2625574767589569
+        a = 1554944255988
+        small = solve_quadratic(1, -2 * a, a * a - 2 * 2**80).roots[0]
+        assert (small.p, small.q, small.d, small.r) == (a, -(2**40), 2, 1)
+        lo, hi = reference_brackets(small, 1024)
+        assert small.approx() == (lo + hi) / 2**1025 == 0.26255746488907263
+
+    @pytest.mark.parametrize("coeffs", [(1, -198, 1), (1, -1154, 1)])
+    def test_wide_bounds_built_once(self, coeffs):
+        # the roots 99 -+ 70*sqrt(2) and 577 -+ 408*sqrt(2): the small
+        # one's 64-bit bounds are 70 and 408 units wide, and approx
+        # refines them
+        assert_keys_match_make(*coeffs)
+
+    @pytest.mark.parametrize("scale", [1, 3, 2**20, 10**12])
+    def test_large_radical_coefficients_within_float_precision(self, scale):
+        # num/den - sqrt(2) over scale nearly cancels: a value about
+        # 1/(den*scale) with q/r = den/scale
+        for num, den in sqrt2_convergents(40):
+            t = AlgebraicTime.make(num, -den, 2, scale)
+            lo, hi = reference_brackets(t, 1024)
+            assert math.isclose(t.approx(), (lo + hi) / 2**1025, rel_tol=2**-50)
 
     def test_beyond_float_range_is_infinite(self):
         big = 10**400

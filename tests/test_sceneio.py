@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given
 
 from kineticlines import (
+    AlgebraicTime,
+    CollinearityEvent,
     KineticPoint,
     Scene,
     SceneError,
@@ -25,7 +27,7 @@ from kineticlines import (
     scene_to_json,
 )
 from kineticlines.exact_numbers import RATIONAL_DIGIT_LIMIT
-from kineticlines.sceneio import EVENTS_CSV_HEADER, SCENE_VERSION
+from kineticlines.sceneio import EVENTS_CSV_HEADER, SCENE_VERSION, json_text
 
 from conftest import coords, make_scene
 
@@ -209,6 +211,21 @@ class TestEventListings:
         assert lines[0] == EVENTS_CSV_HEADER
         assert lines[1] == "-2/1,-2,3,a;b;c,a;b,false,false"
         assert text.endswith("\n")
+
+    def test_json_listing_is_strict(self):
+        # an irrational time beyond float range has no finite approx
+        far = AlgebraicTime.make(10**320, 1, 2, 1)
+        event = CollinearityEvent(far, ("a", "b", "c"), 3, ("a", "b"), False, False)
+        text = json_text(events_to_json([event]))
+
+        def refuse_constant(name):
+            raise AssertionError(f"{name} in strict JSON")
+
+        (item,) = json.loads(text, parse_constant=refuse_constant)
+        assert item["time"]["approx"] is None
+        assert AlgebraicTime.from_json(item["time"]) == far
+        with pytest.raises(ValueError):
+            json_text({"approx": float("inf")})
 
     def test_csv_empty(self):
         assert events_to_csv([]) == EVENTS_CSV_HEADER + "\n"
