@@ -358,16 +358,17 @@ def make_roots(c2: int, c1: int, c0: int):
 def assert_built_once(times):
     """Each time from key_times is in the canonical form that every other
     constructor checks, and carries the 64-bit bounds that a fresh
-    _bounds(64) gives. approx is p / r for a rational, the bounds'
-    midpoint for an irrational with |lo| >= 2**52 and bounds at most 2
-    units wide, and within 2**-50 of the value for any other."""
+    _bounds(64) gives. approx is p / r for a rational, and the bounds'
+    midpoint for an irrational with |lo| >= 2**52 whose bounds are at
+    most 2 units or at most |lo| / 2**52 wide; any other irrational, whose
+    bounds approx refines, is within 2**-50 of a 1024-bit reference."""
     for t in times:
         exact_numbers._check_canonical(t)
         lo, hi = t._bounds(64)
         assert t._bounds64() == (lo, hi)
         if t.q == 0:
             assert t.approx() == t.p / t.r
-        elif abs(lo) >= 1 << 52 and hi - lo <= 2:
+        elif abs(lo) >= 1 << 52 and (hi - lo <= 2 or (hi - lo) << 52 <= abs(lo)):
             assert t.approx() == (lo + hi) / 2**65
         else:
             lo, hi = reference_brackets(t, 1024)
@@ -747,7 +748,8 @@ class TestApprox:
     def test_wide_bounds_built_once(self, coeffs):
         # the roots 99 -+ 70*sqrt(2) and 577 -+ 408*sqrt(2): the small
         # one's 64-bit bounds are 70 and 408 units wide, and approx
-        # refines them
+        # refines them; the large one's are as wide but narrow against
+        # |lo|, and approx stays their midpoint
         assert_keys_match_make(*coeffs)
 
     @pytest.mark.parametrize("scale", [1, 3, 2**20, 10**12])
