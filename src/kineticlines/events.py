@@ -19,11 +19,13 @@ integer key of their line, and union-find over shared pairs serves only
 irrational buckets of two or more triples and always_collinear_groups.
 
 enumerate_events alone builds events: the times of the kept buckets from
-one exact_numbers.key_times call, each kept bucket's lines found once,
-their order from time_order, and at each time an event per line of its
-bucket. audit_bounds and count_k_collinearities stop at lines and
-count a pair bucket's twice, with no time built, no radicand reduced, no
-sort and no event object.
+one exact_numbers.key_times call, each kept bucket's event shapes
+(members, anchors and flags, with no time) found once before the walk
+over times, the walk's order from time_order, and at each time one event
+per shape of its bucket, written slot by slot with no second check.
+audit_bounds and count_k_collinearities stop at lines and count a pair
+bucket's twice, with no time built, no radicand reduced, no sort and no
+event object.
 
 brute_force_events re-derives the same list from scratch for small scenes
 and shares only the exact-number layer with the enumeration path, so the
@@ -79,6 +81,12 @@ class CollinearityEvent:
     when some member triple only touches collinearity at this time (a
     double root). contains_subcollision is set when some, but not all,
     members coincide at the event time.
+
+    The constructor checks that k is the member count. enumerate_events
+    builds its events through _EVENT_SETTERS instead, with no __init__ or
+    __post_init__: it sets k to len(members) itself, so the check could
+    not fail there, and the checked constructor, through the frozen
+    dataclass's setattr, costs about three times the slot writes.
     """
 
     time: AlgebraicTime
@@ -103,10 +111,18 @@ class CollinearityEvent:
         }
 
 
+# CollinearityEvent's slot writers: no frozen __setattr__, no __post_init__
+_EVENT_SETTERS = tuple(
+    getattr(CollinearityEvent, name).__set__
+    for name in ("time", "members", "k", "anchors", "tangential", "contains_subcollision")
+)
+
 # a root triple a, b, c and whether the root is double
 _Root = tuple[KineticPoint, KineticPoint, KineticPoint, bool]
 # a bucket's lines and positions, as _bucket_lines returns them
 _Lines = tuple[list[list], Optional[dict[str, tuple[int, int]]]]
+# an event with no time: members, anchors, tangential, contains_subcollision
+_Shape = tuple[tuple[str, ...], tuple[str, str], bool, bool]
 
 
 def _components(links: Sequence[Sequence[tuple[str, str]]]) -> list[list[int]]:
@@ -231,8 +247,9 @@ def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
     line is one event of exactly those three points, or none when they
     coincide at a rational t. At an irrational t it is not tangential (a
     double root, like a collision, falls at a rational time), and
-    enumerate_events emits it with no call here; audit_bounds counts
-    every one-triple bucket with none. At k_min >= 4 enumerate_events
+    enumerate_events builds its one shape, the sorted ids, the first two
+    of them and no flag, with no call here; audit_bounds counts every
+    one-triple bucket with none. At k_min >= 4 enumerate_events
     drops every one-triple bucket.
 
     Incidences: a member triple that is not always collinear is collinear
@@ -275,11 +292,13 @@ def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
     return list(lines.values()), positions
 
 
-def _line_events(t: AlgebraicTime, bucket: _Lines, k_min: int) -> list[CollinearityEvent]:
-    """The events at time t with at least k_min members, ordered by
-    member tuple, from the lines and positions that _bucket_lines gives."""
+def _event_shapes(bucket: _Lines, k_min: int) -> list[_Shape]:
+    """The events of a bucket with at least k_min members, ordered by
+    member tuple, from the lines and positions that _bucket_lines gives,
+    each as (members, anchors, tangential, contains_subcollision): the
+    same at every time of the bucket, which enumerate_events stamps on."""
     lines, positions = bucket
-    events = []
+    shapes = []
     for ids, tangential, _ in lines:
         if len(ids) < k_min:
             continue
@@ -292,9 +311,9 @@ def _line_events(t: AlgebraicTime, bucket: _Lines, k_min: int) -> list[Collinear
                     (u, v) for u, v in combinations(members, 2) if positions[u] != positions[v]
                 )
             subcollision = len({positions[m] for m in members}) < len(members)
-        events.append(CollinearityEvent(t, members, len(members), anchors, tangential, subcollision))
-    events.sort(key=lambda e: e.members)
-    return events
+        shapes.append((members, anchors, tangential, subcollision))
+    shapes.sort(key=lambda shape: shape[0])
+    return shapes
 
 
 def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
@@ -304,10 +323,13 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     The kept buckets of _buckets become their AlgebraicTimes in one
     key_times call, a pair key giving its two, and time_order orders the
     times by index, by the bounds key_times built, with no time hashed.
-    Each kept bucket's lines are found once, before the walk over times,
-    and serve all of its times; a one-triple bucket at an irrational time
-    is its own event and needs none. At k_min >= 4 a one-triple bucket
-    holds no event (see _bucket_lines) and is dropped before either step.
+    Each kept bucket's event shapes (_event_shapes) are found once,
+    before the walk over times, and serve all of its times; a one-triple
+    bucket at an irrational time is its own one shape and needs no lines.
+    The walk stamps each time onto its bucket's shapes, writing each
+    event's slots through _EVENT_SETTERS, with k = len(members). At
+    k_min >= 4 a one-triple bucket holds no event (see _bucket_lines) and
+    is dropped before either step.
     """
     if k_min < 3:
         raise ValueError("k_min must be at least 3")
@@ -315,19 +337,28 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     times = key_times([key for key, _ in kept])
     # key_times gives a rational key (num, den) one time, a pair key two
     bucket_of = [i for i, (key, _) in enumerate(kept) for _ in range(len(key) // 2)]
-    lines = [
-        None if len(key) > 2 and len(roots) == 1 else _bucket_lines(key, roots)
-        for key, roots in kept
-    ]
+    shapes = []
+    for key, roots in kept:
+        if len(key) > 2 and len(roots) == 1:
+            a, b, c, _ = roots[0]
+            members = tuple(sorted((a.id, b.id, c.id)))
+            shapes.append([(members, members[:2], False, False)])
+        else:
+            shapes.append(_event_shapes(_bucket_lines(key, roots), k_min))
+    new = object.__new__
+    set_time, set_members, set_k, set_anchors, set_tangential, set_sub = _EVENT_SETTERS
     events: list[CollinearityEvent] = []
     for j in time_order(times):
-        t, i = times[j], bucket_of[j]
-        if lines[i] is None:
-            a, b, c, _ = kept[i][1][0]
-            members = tuple(sorted((a.id, b.id, c.id)))
-            events.append(CollinearityEvent(t, members, 3, members[:2], False, False))
-        else:
-            events += _line_events(t, lines[i], k_min)
+        t = times[j]
+        for members, anchors, tangential, subcollision in shapes[bucket_of[j]]:
+            e = new(CollinearityEvent)
+            set_time(e, t)
+            set_members(e, members)
+            set_k(e, len(members))
+            set_anchors(e, anchors)
+            set_tangential(e, tangential)
+            set_sub(e, subcollision)
+            events.append(e)
     return events
 
 

@@ -102,12 +102,18 @@ def _surd_sign(p: int, q: int, d: int) -> int:
     return sp if p * p > q * q * d else sq
 
 
-def _interval(p: int, q: int, r: int, root: int, bits: int) -> tuple[int, int]:
-    """Integer lo, hi with lo <= (p + q*sqrt(d))/r * 2**bits <= hi, for
-    r > 0 and root = isqrt(d << 2*bits), 0 for a rational: then
-    root <= sqrt(d) * 2**bits < root + 1."""
-    num = (p << bits) + q * root
-    return (num + min(q, 0)) // r, -(-(num + max(q, 0)) // r)
+def _intervals(
+    p: int, q: int, r: int, root: int, bits: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Integer bounds (lo, hi) of (p - q*sqrt(d))/r * 2**bits, then of
+    (p + q*sqrt(d))/r * 2**bits, for q >= 0, r > 0 and
+    root = isqrt(d << 2*bits), 0 for a rational: then
+    q*root <= q*sqrt(d) * 2**bits <= q*root + q."""
+    base, shift = p << bits, q * root
+    return (
+        ((base - shift - q) // r, -((shift - base) // r)),
+        ((base + shift) // r, -((-base - shift - q) // r)),
+    )
 
 
 # bit r of _SQm is set when r is a square mod m
@@ -271,7 +277,9 @@ class AlgebraicTime:
     r: int
 
     # lo and hi - lo of the value's 64-bit bounds, as _bounds(64) gives
-    # them: key_times sets both, every other constructor neither
+    # them: key_times sets both, from its key's one _intervals call, and
+    # every other constructor neither; time_order sorts by lo, approx
+    # reads both
     _lo64: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     _span64: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -374,7 +382,8 @@ class AlgebraicTime:
 
     def _bounds(self, bits: int) -> tuple[int, int]:
         """Integer lo, hi with lo <= value * 2**bits <= hi."""
-        return _interval(self.p, self.q, self.r, math.isqrt(self.d << (2 * bits)), bits)
+        root = math.isqrt(self.d << (2 * bits))
+        return _intervals(self.p, abs(self.q), self.r, root, bits)[self.q > 0]
 
     def _bounds64(self) -> tuple[int, int]:
         """_bounds(64): the ones key_times carried, or computed now."""
@@ -387,12 +396,11 @@ class AlgebraicTime:
 
         A rational is p / r, correctly rounded. An irrational is the
         midpoint of its 64-bit bounds, which a time from key_times carries
-        from its construction, where time_order sorts by them. Those
-        bounds are about |q|/r units wide, so they are recomputed with
-        twice the bits until lo has 53 bits (below 2**-12 in size it has
-        fewer) and the width is at most 2 units or at most |lo| / 2**52:
-        then the midpoint is within about one float ulp. A value beyond
-        float range gives inf or -inf.
+        from its construction. Those bounds are about |q|/r units wide, so
+        they are recomputed with twice the bits until lo has 53 bits
+        (below 2**-12 in size it has fewer) and the width is at most 2
+        units or at most |lo| / 2**52: then the midpoint is within about
+        one float ulp. A value beyond float range gives inf or -inf.
         """
         try:
             if self.q == 0:
@@ -484,16 +492,20 @@ def compare_times(x: AlgebraicTime, y: AlgebraicTime) -> int:
 def time_order(times: Sequence[AlgebraicTime]) -> list[int]:
     """The indices of times in exact ascending order of their times.
 
-    Each time is keyed by its 64-bit interval bounds: the ones a time from
-    key_times carries, computed here for any other time. Times whose
-    intervals are disjoint are ordered by the bounds alone; compare_times,
-    through AlgebraicTime.__lt__, runs only inside a run of overlapping
-    intervals.
+    Each time has its 64-bit interval bounds: the ones a time from
+    key_times carries, computed here for any other time. The indices are
+    sorted by lo alone, and a sweep cuts them into runs: an interval joins
+    the current run when its lo is at most the largest hi in it. Equal
+    lo's, in whatever order, land in one run, and every value of a run
+    lies below the next run's first lo, so runs are ordered by the bounds
+    alone; compare_times, through AlgebraicTime.__lt__, orders each run
+    exactly.
     """
     bounds = [t._bounds64() for t in times]
+    lows = [lo for lo, _ in bounds]
     runs: list[list[int]] = []
     run_hi = 0
-    for i in sorted(range(len(times)), key=bounds.__getitem__):
+    for i in sorted(range(len(times)), key=lows.__getitem__):
         lo, hi = bounds[i]
         if runs and lo <= run_hi:
             runs[-1].append(i)
@@ -604,10 +616,10 @@ def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
     radicand is reduced and its canonical form built; AlgebraicTime.make
     comes here with its value's pair key. One square_reduce_all call
     reduces the batch's distinct radicands; then
-    a pair takes one gcd(p, q, r) and one isqrt(d << 128), from which
-    _interval gives both roots the bounds that _bounds(64) computes.
-    These forms are canonical by construction (see AlgebraicTime) and
-    are not checked again.
+    a pair takes one gcd(p, q, r) and one isqrt(d << 128), and each key
+    one _intervals call, which gives both roots of a pair the bounds that
+    _bounds(64) computes. These forms are canonical by construction (see
+    AlgebraicTime) and are not checked again.
     """
     radicands = dict.fromkeys(key[2] * key[3] for key in keys if len(key) == 4)
     reduced = dict(zip(radicands, square_reduce_all(list(radicands))))
@@ -616,7 +628,7 @@ def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
     times = []
     for key in keys:
         if len(key) == 2:
-            (p, r), d, root, signed = key, 0, 0, (0,)
+            (p, r), q, d, root, signed = key, 0, 0, 0, (0,)
         else:
             a_num, a_den, b_num, b_den = key
             m, d = reduced[b_num * b_den]
@@ -625,8 +637,8 @@ def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
             p, q, r = p // g, q // g, r // g
             root = math.isqrt(d << 128)
             signed = (-q, q)
-        for q in signed:
-            lo, hi = _interval(p, q, r, root, 64)
+        # a rational key takes the first of the two equal intervals
+        for q, (lo, hi) in zip(signed, _intervals(p, q, r, root, 64)):
             t = new(AlgebraicTime)
             set_p(t, p)
             set_q(t, q)

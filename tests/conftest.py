@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import strategies as st
 
@@ -37,6 +38,22 @@ def serialized(events):
 def make_scene(*specs) -> Scene:
     return Scene(
         tuple(KineticPoint.make(pid, pos, vel) for pid, pos, vel in specs)
+    )
+
+
+def parameter_cube(m: int) -> Scene:
+    """The point (a, 0) moving with velocity (b, c), for each (a, b, c) in
+    [1..m]**3: m**3 points, all on y = 0 at t = 0."""
+    return make_scene(
+        *((f"{a}{b}{c}", (a, 0), (b, c)) for a, b, c in product(range(1, m + 1), repeat=3))
+    )
+
+
+def kinetic_grid(k: int, m: int) -> Scene:
+    """The point (x, y) moving with velocity (0, x**2), for x in [1..k] and
+    y in [1..m]: k always-collinear columns of m points each."""
+    return make_scene(
+        *((f"{x}_{y}", (x, y), (0, x * x)) for x, y in product(range(1, k + 1), range(1, m + 1)))
     )
 
 

@@ -37,10 +37,10 @@ from kineticlines import (
     position_at,
     solve_quadratic,
 )
-from kineticlines.events import _bf_poly, _bucket_lines, _line_events, _line_key
+from kineticlines.events import _bf_poly, _bucket_lines, _event_shapes, _line_key
 from kineticlines.kinematics import triple_polynomials
 
-from conftest import coords, make_scene, serialized
+from conftest import coords, kinetic_grid, make_scene, parameter_cube, serialized
 
 F = Fraction
 
@@ -305,20 +305,65 @@ class TestEnumerateEvents:
             assert t.approx() == (lo + hi) / 2**65
 
     def test_each_time_bounded_once(self, monkeypatch):
-        # key_times computes each time's bounds once, and time_order and
-        # approx (through events_to_json) read them: no _bounds call at all
-        bounds = []
-        interval = kineticlines.exact_numbers._interval
+        # key_times bounds each kept bucket key's times in one _intervals
+        # call, both roots of a pair at once, and time_order and approx
+        # (through events_to_json) read them: no _bounds call at all
+        bounds, keys = [], []
+        intervals = kineticlines.exact_numbers._intervals
+        build = kineticlines.events.key_times
         monkeypatch.setattr(AlgebraicTime, "_bounds", refuse)
         monkeypatch.setattr(
             kineticlines.exact_numbers,
-            "_interval",
-            lambda *args: bounds.append(args) or interval(*args),
+            "_intervals",
+            lambda *args: bounds.append(args) or intervals(*args),
+        )
+        monkeypatch.setattr(
+            kineticlines.events, "key_times", lambda batch: keys.extend(batch) or build(batch)
         )
         events = enumerate_events(gen_random(10, 1))
         payload = events_to_json(events)
         assert sum(item["time"]["kind"] == "quadratic" for item in payload) > 0
-        assert len(bounds) == len({e.time for e in events})
+        assert any(len(key) == 4 for key in keys)
+        assert len(bounds) == len(keys)
+        # every kept bucket has an event here: a rational key one time, a
+        # pair key two
+        times = {e.time for e in events}
+        rational = sum(t.is_rational for t in times)
+        assert len(keys) == rational + (len(times) - rational) // 2
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gen_random(10, 1),
+            lambda: gen_tight(8),
+            lambda: gen_lower_bound(16, 4),
+            lambda: sqrt2_scene(),
+        ],
+        ids=["random_10_1", "tight_8", "lower_bound_16_4", "sqrt2"],
+    )
+    def test_events_built_as_the_checked_constructor_builds_them(self, build):
+        # the walk writes each event's slots with no __post_init__; every
+        # event must equal the one the checked constructor gives
+        events = enumerate_events(build())
+        assert events
+        for e in events:
+            checked = CollinearityEvent(
+                e.time, e.members, len(e.members), e.anchors, e.tangential, e.contains_subcollision
+            )
+            assert e == checked and type(e) is CollinearityEvent
+
+    def test_enumeration_skips_the_event_check(self, monkeypatch):
+        # enumerate_events never runs __post_init__; every other
+        # constructor, the oracle's among them, still does
+        scenes = [gen_random(10, 1), gen_tight(8), gen_lower_bound(16, 4), sqrt2_scene()]
+        want = [enumerate_events(scene) for scene in scenes]
+        monkeypatch.setattr(CollinearityEvent, "__post_init__", refuse)
+        assert [enumerate_events(scene) for scene in scenes] == want
+        with pytest.raises(AssertionError):
+            brute_force_events(sqrt2_scene())
+        e = want[0][0]
+        with pytest.raises(AssertionError):
+            CollinearityEvent(e.time, e.members, e.k, e.anchors, e.tangential, e.contains_subcollision)
 
     def test_event_json_shape(self):
         e = enumerate_events(quadratic_pair_scene())[0]
@@ -784,8 +829,8 @@ class TestLineKeyBuckets:
         trios = ["abc", "cba", "dca", "eab", "bde", "fgh", "hgf"]
         roots = [(p(u), p(v), p(w), False) for u, v, w in trios]
         lines, positions = _bucket_lines((0, 1), roots)
-        events = _line_events(AlgebraicTime.from_rational(0), (lines, positions), 3)
-        assert [(e.members, e.anchors, e.contains_subcollision) for e in events] == [
+        shapes = _event_shapes((lines, positions), 3)
+        assert [(members, anchors, sub) for members, anchors, _, sub in shapes] == [
             (("a", "b", "c", "d", "e"), ("a", "b"), True),
             (("f", "g", "h"), ("f", "g"), False),
         ]
@@ -859,14 +904,6 @@ class TestSampledRootOracle:
         assert serialized(got) == serialized(want)
 
 
-def parameter_cube(m):
-    """The point (a, 0) moving with velocity (b, c), for each (a, b, c) in
-    [1..m]**3: m**3 points, all on y = 0 at t = 0."""
-    return make_scene(
-        *((f"{a}{b}{c}", (a, 0), (b, c)) for a, b, c in product(range(1, m + 1), repeat=3))
-    )
-
-
 def cube_event_counts(m, ks):
     """The number of events of parameter_cube(m) with at least k members,
     for each k in ks, counted in parameter space with integer cross
@@ -917,6 +954,43 @@ class TestParameterCube:
 
     def test_oracle_agrees(self):
         assert_oracle_agrees(parameter_cube(2))
+
+
+def grid_event_count(k, m):
+    """The number of events of kinetic_grid(k, m) with at least k members,
+    counted as integer sequences.
+
+    At time t the point of column x is at (x, y + t*x*x). A vertical line
+    holds one column, which is collinear at every time, so an event with
+    at least k members is a line through one point of each column:
+    y_x + t*x*x = alpha*x + beta for x in [1..k]. Its heights y_1..y_k are
+    then a quadratic in x with second difference -2*t, and each integer
+    sequence in [1..m] with a constant second difference is one event, at
+    t = -(second difference)/2. Its k points are not collinear at every
+    time, as the velocities (0, x*x) of k >= 3 columns do not lie on a
+    line.
+    """
+    count = 0
+    for y1, y2 in product(range(1, m + 1), repeat=2):
+        for step in range(-2 * m, 2 * m + 1):
+            heights = [y1, y2]
+            while len(heights) < k:
+                heights.append(2 * heights[-1] - heights[-2] + step)
+            count += all(1 <= y <= m for y in heights)
+    return count
+
+
+class TestKineticGrid:
+    # always-collinear columns, collisions and multi-line rational
+    # buckets, past the oracle's cap
+    @pytest.mark.parametrize("k, m, want", [(4, 4, 22), (5, 6, 26), (6, 8, 36), (8, 8, 14)])
+    def test_event_counts_match_integer_sequences(self, k, m, want):
+        scene = kinetic_grid(k, m)
+        assert grid_event_count(k, m) == want
+        assert audit_bounds(scene, k).event_count == want
+        events = enumerate_events(scene, k)
+        assert len(events) == want
+        assert all(e.k == k and len({pid.split("_")[0] for pid in e.members}) == k for e in events)
 
 
 def sqrt2_scene():

@@ -703,6 +703,50 @@ class TestTrustedConstruction:
         assert AlgebraicTime.from_json(t.to_json()) == t
 
 
+def at_least(x: int, y: int, d: int) -> bool:
+    """Whether y*sqrt(d) >= x, for d > 0, by integer squares alone."""
+    if y >= 0:
+        return x <= 0 or y * y * d >= x * x
+    return x <= 0 and x * x >= y * y * d
+
+
+class TestIntervals:
+    @given(
+        st.integers(-(10**40), 10**40),
+        st.one_of(st.just(0), st.integers(1, 10**30)),
+        st.integers(1, 10**30),
+        st.one_of(st.integers(2, 10**6), st.integers(2, 2**300)).filter(
+            lambda d: math.isqrt(d) ** 2 != d
+        ),
+        st.sampled_from((0, 1, 64, 128, 200)),
+    )
+    @settings(max_examples=400)
+    def test_both_roots_bounded(self, p, q, r, d, bits):
+        # the lower root's bounds come first, and each interval holds
+        # (p -+ q*sqrt(d))/r * 2**bits: lo*r - p*2**bits <= -+q*sqrt(d)*2**bits
+        # <= hi*r - p*2**bits, checked with integer squares
+        intervals = exact_numbers._intervals(p, q, r, math.isqrt(d << (2 * bits)), bits)
+        assert len(intervals) == 2
+        for sign, (lo, hi) in zip((-1, 1), intervals):
+            assert lo <= hi
+            assert at_least(lo * r - (p << bits), sign * q << bits, d)
+            assert at_least((p << bits) - hi * r, -sign * q << bits, d)
+        if bits not in (64, 128):
+            return
+        # at the widths that key_times and approx use, they are the
+        # bounds of the two conjugate times with these integers
+        g = math.gcd(p, q, r)
+        p, q, r = p // g, q // g, r // g
+        if q == 0:
+            times = [AlgebraicTime.from_rational(F(p, r))] * 2
+        else:
+            times = [AlgebraicTime(p, -q, d, r), AlgebraicTime(p, q, d, r)]
+        root = math.isqrt(d << (2 * bits))
+        assert exact_numbers._intervals(p, q, r, root, bits) == tuple(
+            t._bounds(bits) for t in times
+        )
+
+
 class TestApprox:
     def test_rational_is_correctly_rounded(self):
         # the midpoint of the 64-bit bounds gave 9.99986768738e-16 here

@@ -30,7 +30,7 @@ from kineticlines import (
     render_scene,
 )
 
-from conftest import make_scene
+from conftest import kinetic_grid, make_scene, parameter_cube
 
 SCENES = {
     "random_20_1": lambda: gen_random(20, 1),
@@ -56,6 +56,8 @@ AUDIT_DIGEST = "49ee7c8295212e07e14b99445afdf1c647a5284c1550213b7b30b206b3ee9b9d
 GRID_SCENE_COUNT = 50
 GRID_DIGEST = "25396a611759a7ec31c905cc19ae91b31c4a57f6ad12304cc5d9e52ab6a6ddcd"
 RENDER_DIGEST = "06eb3ffe665dfb1473115b7c429ddb9a43c8e3af7a5cc221bbcf76a8d640182c"
+# parameter_cube(3), then kinetic_grid(6, 8)
+DEGENERATE_DIGEST = "b44dadb9ee90bf5e401f03cd784d34bb22b345321adbede27f2044b938202549"
 
 
 def _update(h, scene: Scene) -> None:
@@ -122,6 +124,15 @@ def test_grid_scene_output_pinned():
     for scene in _grid_scenes(GRID_SCENE_COUNT):
         _update(h, scene)
     assert h.hexdigest() == GRID_DIGEST
+
+
+def test_degenerate_family_output_pinned():
+    # multi-line rational buckets, sub-collisions and always-collinear
+    # columns; apart from SCENES, so that the audit pin keeps its scenes
+    h = hashlib.sha256()
+    for scene in (parameter_cube(3), kinetic_grid(6, 8)):
+        _update(h, scene)
+    assert h.hexdigest() == DEGENERATE_DIGEST
 
 
 def test_render_output_pinned():
