@@ -130,10 +130,9 @@ def _components(links: Sequence[Sequence[tuple[str, str]]]) -> list[list[int]]:
 
     links[i] holds the pairs of entry i, and two entries with a pair in
     common are in one component (union-find with path halving, Tarjan
-    1975).
+    1975). Every entry is in one component, so no entries give none and
+    one entry gives [[0]].
     """
-    if len(links) < 2:
-        return [[i] for i in range(len(links))]
     parent = list(range(len(links)))
 
     def root(i: int) -> int:
@@ -324,9 +323,10 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     key_times call, a pair key giving its two, and time_order orders the
     times by index, by the bounds key_times built, with no time hashed.
     Each kept bucket's event shapes (_event_shapes) are found once,
-    before the walk over times, and serve all of its times; a one-triple
-    bucket at an irrational time is its own one shape and needs no lines.
-    The walk stamps each time onto its bucket's shapes, writing each
+    before the walk over times, and listed once per time of the bucket,
+    in key_times' order, so a pair key's two times share one list; a
+    one-triple bucket at an irrational time is its own one shape and needs
+    no lines. The walk stamps each time onto its shape list, writing each
     event's slots through _EVENT_SETTERS, with k = len(members). At
     k_min >= 4 a one-triple bucket holds no event (see _bucket_lines) and
     is dropped before either step.
@@ -335,22 +335,23 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
         raise ValueError("k_min must be at least 3")
     kept = [item for item in _buckets(scene)[0].items() if k_min == 3 or len(item[1]) > 1]
     times = key_times([key for key, _ in kept])
-    # key_times gives a rational key (num, den) one time, a pair key two
-    bucket_of = [i for i, (key, _) in enumerate(kept) for _ in range(len(key) // 2)]
     shapes = []
     for key, roots in kept:
         if len(key) > 2 and len(roots) == 1:
             a, b, c, _ = roots[0]
             members = tuple(sorted((a.id, b.id, c.id)))
-            shapes.append([(members, members[:2], False, False)])
+            bucket_shapes = [(members, members[:2], False, False)]
         else:
-            shapes.append(_event_shapes(_bucket_lines(key, roots), k_min))
+            bucket_shapes = _event_shapes(_bucket_lines(key, roots), k_min)
+        # one list per time: key_times gives a rational key (num, den) one
+        # time and a pair key two, so shapes[j] serves times[j]
+        shapes += [bucket_shapes] * (len(key) // 2)
     new = object.__new__
     set_time, set_members, set_k, set_anchors, set_tangential, set_sub = _EVENT_SETTERS
     events: list[CollinearityEvent] = []
     for j in time_order(times):
         t = times[j]
-        for members, anchors, tangential, subcollision in shapes[bucket_of[j]]:
+        for members, anchors, tangential, subcollision in shapes[j]:
             e = new(CollinearityEvent)
             set_time(e, t)
             set_members(e, members)

@@ -120,6 +120,20 @@ def _intervals(
 _SQ63, _SQ65, _SQ11 = (sum(1 << r for r in {i * i % m for i in range(m)}) for m in (63, 65, 11))
 
 
+def _square_root(n: int) -> int:
+    """For n >= 0: isqrt(n) when n is a perfect square, -1 otherwise.
+
+    A square is a square mod 63, 65 and 11; for evenly spread residues
+    that rejects about 95% of non-squares before the isqrt (Cohen 1993,
+    Algorithm 1.7.3), which pays where n spans several machine words.
+    """
+    if _SQ63 >> n % 63 & 1 and _SQ65 >> n % 65 & 1 and _SQ11 >> n % 11 & 1:
+        root = math.isqrt(n)
+        if root * root == n:
+            return root
+    return -1
+
+
 @lru_cache(maxsize=None)
 def _primorial() -> int:
     """The product of the primes up to SQUAREFREE_TRIAL_BOUND."""
@@ -142,13 +156,12 @@ def square_reduce_all(ns: Sequence[int]) -> list[tuple[int, int]]:
     """square_reduce of each n in ns, in order; ValueError if some n <= 0.
 
     The primes up to SQUAREFREE_TRIAL_BOUND are split out by gcds, then
-    the remaining cofactor is tested for being a perfect square, by
-    residues mod 63, 65 and 11 and, if they allow it, one isqrt. A square
-    factor built entirely from primes above the bound stays inside d, so d
-    need not be squarefree. Canonical keys do not need it to be: they rest
-    on reducing an integer that depends only on the value, and on the
-    reduction being a fixed function of that integer, whatever batch it
-    comes in.
+    _square_root tests whether the remaining cofactor is a perfect square.
+    A square factor built entirely from primes above the bound stays
+    inside d, so d need not be squarefree. Canonical keys do not need it
+    to be: they rest on reducing an integer that depends only on the
+    value, and on the reduction being a fixed function of that integer,
+    whatever batch it comes in.
 
     g = gcd(n, product of those primes) is the product of the small primes
     that divide n, and each level divides them out once more: at level j,
@@ -169,11 +182,8 @@ def square_reduce_all(ns: Sequence[int]) -> list[tuple[int, int]]:
             m *= h
             g = math.gcd(rest, h)
         if rest > 1:
-            # root_keys' residue test; root = 0 fails the test below
-            root = 0
-            if _SQ63 >> rest % 63 & 1 and _SQ65 >> rest % 65 & 1 and _SQ11 >> rest % 11 & 1:
-                root = math.isqrt(rest)
-            if root * root == rest:
+            root = _square_root(rest)
+            if root > 0:
                 m *= root
             else:
                 d *= rest
@@ -225,13 +235,11 @@ def _check_canonical(t: AlgebraicTime) -> None:
     if t.q != 0:
         if t.d < 2:
             raise ValueError("radicand must be at least 2")
-        root = math.isqrt(t.d)
-        if root * root == t.d:
+        if _square_root(t.d) >= 0:
             raise ValueError("radicand must not be a perfect square")
-        if math.gcd(math.gcd(abs(t.p), abs(t.q)), t.r) != 1:
-            raise ValueError("p, q, r must be coprime")
-    elif math.gcd(abs(t.p), t.r) != 1:
-        raise ValueError("p and r must be coprime")
+    # gcd(p, 0, r) is gcd(p, r), so this covers the rational form too
+    if math.gcd(t.p, t.q, t.r) != 1:
+        raise ValueError("p, q, r must be coprime")
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,11 +317,12 @@ class AlgebraicTime:
         if q == 0 or d == 0:
             return _rational(p, r)
         b_num, b_den = _lowest(q * q * d, r * r)
-        m = math.isqrt(b_num * b_den) * (1 if q * r > 0 else -1)
-        if m * m == b_num * b_den:
-            return _rational(p * b_den + m * r, r * b_den)
+        sign = 1 if q * r > 0 else -1
+        m = _square_root(b_num * b_den)
+        if m >= 0:
+            return _rational(p * b_den + sign * m * r, r * b_den)
         low, high = key_times([(*_lowest(p, r), b_num, b_den)])
-        return high if m > 0 else low
+        return high if sign > 0 else low
 
     @property
     def is_rational(self) -> bool:
@@ -560,11 +569,11 @@ def root_keys(c2: int, c1: int, c0: int) -> tuple[tuple[RootKey, ...], bool, boo
     A key is plain integers, found with no factoring; key_times turns keys
     into times. A rational root is keyed by its lowest-terms pair
     (num, den), den > 0. Two distinct roots (-c1 -+ sqrt(disc))/(2*c2),
-    c2 > 0, are rational exactly when disc is a square, which residue
-    tests and one isqrt decide. Otherwise they are a + e*sqrt(b) for
-    e = -1 and 1, a = -c1/(2*c2) and b = disc/(4*c2*c2) a rational
-    non-square, and one pair key (a_num, a_den, b_num, b_den), in lowest
-    terms, stands for both: two gcds.
+    c2 > 0, are rational exactly when disc is a square, which _square_root
+    decides. Otherwise they are a + e*sqrt(b) for e = -1 and 1,
+    a = -c1/(2*c2) and b = disc/(4*c2*c2) a rational non-square, and one
+    pair key (a_num, a_den, b_num, b_den), in lowest terms, stands for
+    both: two gcds.
 
     Equal times have equal keys. A rational and an irrational root differ
     in value and in key length. If a + e*sqrt(b) == a' + e'*sqrt(b') with
@@ -584,13 +593,8 @@ def root_keys(c2: int, c1: int, c0: int) -> tuple[tuple[RootKey, ...], bool, boo
         return (_lowest(-c1, 2 * c2),), False, True
     if c2 < 0:
         c2, c1 = -c2, -c1
-    # a square is a square mod 63, 65 and 11; for evenly spread residues
-    # that rejects about 95% of non-squares before the isqrt (Cohen 1993,
-    # Algorithm 1.7.3), and s = 0 then fails the test below
-    s = 0
-    if _SQ63 >> disc % 63 & 1 and _SQ65 >> disc % 65 & 1 and _SQ11 >> disc % 11 & 1:
-        s = math.isqrt(disc)
-    if s * s == disc:
+    s = _square_root(disc)
+    if s >= 0:
         return (_lowest(-c1 - s, 2 * c2), _lowest(-c1 + s, 2 * c2)), False, False
     two_c2 = 2 * c2
     g = math.gcd(c1, two_c2)

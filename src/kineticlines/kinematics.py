@@ -32,12 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
-from .exact_numbers import (
-    AlgebraicTime,
-    RationalLike,
-    check_digit_limit,
-    solve_quadratic,
-)
+from .exact_numbers import AlgebraicTime, check_digit_limit, solve_quadratic
 
 __all__ = [
     "KineticPoint",
@@ -49,7 +44,6 @@ __all__ = [
     "collinearity_polynomial",
     "collision_time",
     "position_at",
-    "position_at_rational",
 ]
 
 Coord = tuple[Fraction, Fraction]
@@ -143,12 +137,6 @@ def position_at(point: KineticPoint, t: TimeLike) -> tuple[AlgebraicTime, Algebr
     """Exact planar position pos + t * vel, valid for algebraic times."""
     tv = t if isinstance(t, AlgebraicTime) else AlgebraicTime.from_rational(t)
     return (tv * point.vel[0] + point.pos[0], tv * point.vel[1] + point.pos[1])
-
-
-def position_at_rational(point: KineticPoint, t: RationalLike) -> Coord:
-    """Fraction-only fast path of position_at for rational times."""
-    t = Fraction(t)
-    return (point.pos[0] + t * point.vel[0], point.pos[1] + t * point.vel[1])
 
 
 def triple_polynomials(

@@ -202,30 +202,14 @@ def _float_positions(scene: Scene, t: AlgebraicTime) -> dict:
     return positions
 
 
-def _rational_frame(scene: Scene, t: Fraction, events: Sequence[CollinearityEvent]) -> _Frame:
-    t_alg = AlgebraicTime.from_rational(t)
-    positions = _float_positions(scene, t_alg)
-    lines = []
-    for event in events:
-        if event.time != t_alg:
-            continue
-        a, b = event.anchors
-        lines.append((positions[a], positions[b]))
-    return _Frame(title=f"t = {t}", approximate=False, positions=positions, lines=lines)
-
-
-def _event_frame(scene: Scene, event: CollinearityEvent) -> _Frame:
-    positions = _float_positions(scene, event.time)
-    a, b = event.anchors
-    approximate = not event.time.is_rational
-    joiner = "~" if approximate else "="
-    title = f"event k={event.k} at t {joiner} {format(event.time.approx(), '.6g')}"
-    return _Frame(
-        title=title,
-        approximate=approximate,
-        positions=positions,
-        lines=[(positions[a], positions[b])],
-    )
+def _frame(
+    scene: Scene, t: AlgebraicTime, title: str, events: Sequence[CollinearityEvent]
+) -> _Frame:
+    """The frame at t, with the line of each given event through its
+    anchors; an irrational t is drawn at its approximation."""
+    positions = _float_positions(scene, t)
+    lines = [(positions[a], positions[b]) for a, b in (e.anchors for e in events)]
+    return _Frame(title, not t.is_rational, positions, lines)
 
 
 def render_scene(scene: Scene, times: Iterable[Fraction]) -> list[str]:
@@ -238,7 +222,11 @@ def render_scene(scene: Scene, times: Iterable[Fraction]) -> list[str]:
     if not times:
         raise ValueError("at least one time is required")
     events = enumerate_events(scene)
-    frames = [_rational_frame(scene, t, events) for t in times]
+    frames = []
+    for t in times:
+        t_alg = AlgebraicTime.from_rational(t)
+        at_t = [e for e in events if e.time == t_alg]
+        frames.append(_frame(scene, t_alg, f"t = {t}", at_t))
     return _documents(scene, frames)
 
 
@@ -251,5 +239,9 @@ def render_at_events(
     events = enumerate_events(scene, k_min)
     if not events:
         raise ValueError("scene has no events to render")
-    frames = [_event_frame(scene, e) for e in events]
+    frames = []
+    for e in events:
+        joiner = "=" if e.time.is_rational else "~"
+        title = f"event k={e.k} at t {joiner} {e.time.approx():.6g}"
+        frames.append(_frame(scene, e.time, title, [e]))
     return events, _documents(scene, frames)

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .events import CollinearityEvent
-from .exact_numbers import parse_rational, rational_str
+from .exact_numbers import RATIONAL_DIGIT_LIMIT, parse_rational, rational_str
 from .kinematics import KineticPoint, Scene, SceneError
 
 __all__ = [
@@ -103,6 +103,15 @@ def load_scene(path: Union[str, Path]) -> Scene:
         raise SceneError(f"{path}: not UTF-8 text: {exc}") from exc
     except RecursionError as exc:
         raise SceneError(f"{path}: JSON nested too deeply to read") from exc
+    except ValueError:
+        # json.loads refuses an integer literal longer than
+        # sys.get_int_max_str_digits() with a plain ValueError; like a long
+        # string literal, it is a value over the digit limit
+        over = OverflowError(
+            f"a JSON integer over the limit of {RATIONAL_DIGIT_LIMIT} digits"
+            " per numerator and denominator"
+        )
+        raise SceneError(f"{path}: {over}") from over
     return scene_from_json(data)
 
 

@@ -35,6 +35,11 @@ def serialized(events):
     return [event_key(e) for e in events]
 
 
+def rational_position(point: KineticPoint, t) -> tuple[Fraction, Fraction]:
+    """pos + t * vel at a rational t, in Fractions, apart from position_at."""
+    return (point.pos[0] + t * point.vel[0], point.pos[1] + t * point.vel[1])
+
+
 def make_scene(*specs) -> Scene:
     return Scene(
         tuple(KineticPoint.make(pid, pos, vel) for pid, pos, vel in specs)

@@ -30,13 +30,12 @@ from kineticlines import (
     gen_random,
     gen_tight,
     gen_tight_ellipse,
-    position_at_rational,
     surface_contains,
     surface_of_pair,
     verify_tight_certificate,
 )
 
-from conftest import make_scene, serialized
+from conftest import make_scene, rational_position, serialized
 
 F = Fraction
 
@@ -156,8 +155,8 @@ def _surface_samples(rng, a, b, surf):
     for _ in range(10):
         t = F(rng.randint(-8, 8), rng.randint(1, 4))
         s = F(rng.randint(-8, 8), rng.randint(1, 4))
-        ax, ay = position_at_rational(a, t)
-        bx, by = position_at_rational(b, t)
+        ax, ay = rational_position(a, t)
+        bx, by = rational_position(b, t)
         px = ax + s * (bx - ax)
         py = ay + s * (by - ay)
         assert surface_contains(surf, px, py, t)

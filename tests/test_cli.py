@@ -6,6 +6,7 @@ import pytest
 
 from kineticlines import BoundAudit, gen_no_collinearity, save_scene
 from kineticlines.cli import main
+from kineticlines.exact_numbers import RATIONAL_DIGIT_LIMIT
 from kineticlines.sceneio import EVENTS_CSV_HEADER
 
 from conftest import far_time_scene, make_scene
@@ -150,6 +151,15 @@ class TestEvents:
         assert main(["events", str(path)]) == 2
         err = capsys.readouterr().err
         assert "id 'a'" in err and "'pos'" in err and "limit" in err
+
+    def test_integer_over_int_conversion_limit_exits_2(self, tmp_path, capsys):
+        path = write_crossing_scene(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["points"][0]["pos"][0] = "long"
+        path.write_text(json.dumps(doc).replace('"long"', "7" * 5000))
+        assert main(["events", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"limit of {RATIONAL_DIGIT_LIMIT} digits" in err
 
     def test_non_utf8_scene_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -23,11 +23,12 @@ from kineticlines import (
     gen_random,
     gen_tight,
     gen_tight_ellipse,
-    position_at_rational,
     scene_to_json,
     verify_tight_certificate,
 )
 from kineticlines.constructions import CONSTRUCTION_KINDS
+
+from conftest import rational_position
 
 F = Fraction
 
@@ -236,7 +237,7 @@ class TestNoCollinearity:
             assert vx * vx + vy * vy == 1
         for t in PROBE_TIMES:
             for p in scene.points:
-                px, py = position_at_rational(p, t)
+                px, py = rational_position(p, t)
                 assert px * px + py * py == 1 + t * t
 
     def test_no_events(self):
@@ -246,7 +247,7 @@ class TestNoCollinearity:
         scene = gen_no_collinearity_distinct(10)
         for t in PROBE_TIMES:
             for p in scene.points:
-                px, py = position_at_rational(p, t)
+                px, py = rational_position(p, t)
                 assert (px / 2) ** 2 + py ** 2 == 1 + t * t
         speeds = [p.vel[0] ** 2 + p.vel[1] ** 2 for p in scene.points]
         assert len(set(speeds)) == len(speeds)

@@ -1,9 +1,11 @@
 """Event enumeration, filters, audits, and the independent oracle."""
 
+import importlib.util
 import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,8 @@ from kineticlines.kinematics import triple_polynomials
 from conftest import coords, kinetic_grid, make_scene, parameter_cube, serialized
 
 F = Fraction
+
+CHECKS = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
 
 
 def refuse(*args, **kwargs):
@@ -683,6 +687,16 @@ def assert_oracle_agrees(scene):
     ), where
 
 
+def assert_bench_checks_pass(scene):
+    """bench/checks.py's check_events, loaded by path, passes the listing:
+    it recomputes every field and the order with cofactor determinants
+    and Fraction surds, apart from the library and with no size cap."""
+    spec = importlib.util.spec_from_file_location("bench_checks", CHECKS)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    checks.check_events(checks.SceneModel(scene), enumerate_events(scene))
+
+
 class TestBruteForceOracle:
     def test_cap_enforced(self):
         scene = gen_random(9, 1)
@@ -955,6 +969,9 @@ class TestParameterCube:
     def test_oracle_agrees(self):
         assert_oracle_agrees(parameter_cube(2))
 
+    def test_bench_checks_pass_past_oracle_cap(self):
+        assert_bench_checks_pass(parameter_cube(3))
+
 
 def grid_event_count(k, m):
     """The number of events of kinetic_grid(k, m) with at least k members,
@@ -991,6 +1008,9 @@ class TestKineticGrid:
         events = enumerate_events(scene, k)
         assert len(events) == want
         assert all(e.k == k and len({pid.split("_")[0] for pid in e.members}) == k for e in events)
+
+    def test_bench_checks_pass_past_oracle_cap(self):
+        assert_bench_checks_pass(kinetic_grid(4, 4))
 
 
 def sqrt2_scene():
@@ -1164,6 +1184,8 @@ METAMORPHIC_SCENES = {
     "random20-2": lambda: gen_random(20, 2),
     "tight8": lambda: gen_tight(8),
     "lower_bound16-4": lambda: gen_lower_bound(16, 4),
+    "cube3": lambda: parameter_cube(3),
+    "grid6-8": lambda: kinetic_grid(6, 8),
 }
 
 

@@ -476,12 +476,25 @@ class TestRootKeys:
         assert key_times(keys[::-1]) == [t for times in per_key[::-1] for t in times]
 
     def test_square_discriminant_skips_square_reduce(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError("square_reduce called for a square discriminant")
+        # key_times reduces the radicands of its pair keys, an empty batch
+        # when there is none
+        def refuse(ns):
+            if ns:
+                raise AssertionError("square_reduce_all called for a square discriminant")
+            return []
 
-        monkeypatch.setattr(exact_numbers, "square_reduce", refuse)
+        monkeypatch.setattr(exact_numbers, "square_reduce_all", refuse)
         assert root_keys(6, -5, 1) == (((1, 3), (1, 2)), False, False)
         assert root_keys(-4, 0, 9 * 10007**2) == (((-3 * 10007, 2), (3 * 10007, 2)), False, False)
+        assert solve_quadratic(6, -5, 1).roots == tuple(
+            map(AlgebraicTime.from_rational, (F(1, 3), F(1, 2)))
+        )
+        assert solve_quadratic(-4, 0, 9 * 10007**2).roots == tuple(
+            map(AlgebraicTime.from_rational, (F(-3 * 10007, 2), F(3 * 10007, 2)))
+        )
+        # control: the irrational roots of t**2 - 2 reach the patched reducer
+        with pytest.raises(AssertionError, match="square_reduce_all"):
+            solve_quadratic(1, 0, -2)
 
 
 class TestCompareTimes:

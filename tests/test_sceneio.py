@@ -138,6 +138,16 @@ class TestDiagnostics:
         with pytest.raises(SceneError, match="not valid JSON"):
             load_scene(path)
 
+    def test_integer_over_int_conversion_limit_names_file_and_limit(self, tmp_path):
+        path = tmp_path / "long.json"
+        digits = "1" * 5000
+        path.write_text(
+            '{"version": 1, "points": [{"id": "a", "pos": [%s, "0"], "vel": ["1", "0"]}]}'
+            % digits
+        )
+        with pytest.raises(SceneError, match=rf"long\.json: .*limit of {RATIONAL_DIGIT_LIMIT} digits"):
+            load_scene(path)
+
     def test_deeply_nested_file(self, tmp_path):
         path = tmp_path / "nested.json"
         path.write_text("[" * 100000)

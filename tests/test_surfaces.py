@@ -13,12 +13,11 @@ from kineticlines import (
     classify_triple,
     collision_time,
     position_at,
-    position_at_rational,
     surface_contains,
     surface_of_pair,
 )
 
-from conftest import rationals, triples
+from conftest import rational_position, rationals, triples
 
 F = Fraction
 
@@ -82,8 +81,8 @@ class TestSurfaceOfPair:
         a, b = pair
         surf = surface_of_pair(a, b)
         for t in PROBE_TIMES:
-            xa, ya = position_at_rational(a, t)
-            xb, yb = position_at_rational(b, t)
+            xa, ya = rational_position(a, t)
+            xb, yb = rational_position(b, t)
             assert surface_contains(surf, xa, ya, t)
             assert surface_contains(surf, xb, yb, t)
 
@@ -101,8 +100,8 @@ class TestSurfaceContains:
     def test_segment_points_always_members(self, pair, lam, t):
         a, b = pair
         surf = surface_of_pair(a, b)
-        xa, ya = position_at_rational(a, t)
-        xb, yb = position_at_rational(b, t)
+        xa, ya = rational_position(a, t)
+        xb, yb = rational_position(b, t)
         x = xa + lam * (xb - xa)
         y = ya + lam * (yb - ya)
         assert surface_contains(surf, x, y, t)
@@ -134,7 +133,7 @@ class TestClassifySurface:
         A, B, C, D = cls.plane
         for t in PROBE_TIMES:
             for p in (a, b):
-                x, y = position_at_rational(p, t)
+                x, y = rational_position(p, t)
                 assert A * x + B * y + C * t + D == 0
 
     def test_colliding_pair(self):
@@ -182,7 +181,7 @@ class TestClassifySurface:
         assert (A, B, C, D) != (0, 0, 0, 0)
         for t in PROBE_TIMES:
             for p in (a, b):
-                x, y = position_at_rational(p, t)
+                x, y = rational_position(p, t)
                 assert A * x + B * y + C * t + D == 0
 
     @given(pairs())
@@ -213,5 +212,5 @@ class TestThirdPointCrossings:
             for t in PROBE_TIMES:
                 if t in root_fracs:
                     continue
-                x, y = position_at_rational(c, t)
+                x, y = rational_position(c, t)
                 assert not surface_contains(surf, x, y, t)
