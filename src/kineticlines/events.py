@@ -7,7 +7,7 @@ point on the line at that time.
 
 Enumeration is three layers: buckets, lines, events. _buckets makes one
 pass over pivot fans (kinematics.triple_polynomials), which yields only
-the triples with a nonnegative discriminant, and puts every triple whose
+the triples that are collinear at some time, and puts every triple whose
 polynomial has a root into a bucket under each of its
 exact_numbers.root_keys keys: plain integers, a rational time's
 lowest-terms pair, or one key for an irrational conjugate pair
@@ -167,9 +167,9 @@ def _buckets(scene: Scene) -> tuple[dict[RootKey, list[_Root]], int]:
     number of always-collinear triples.
 
     One pass over the pivot fans of triple_polynomials, looked up on this
-    module at call time, gives the integer polynomial of each triple with
-    a nonnegative discriminant; the generator drops the rest, which have
-    no real root, and keeps a zero discriminant, so an identically zero
+    module at call time, gives the integer polynomial of each triple that
+    is collinear at some time; the generator drops the rest, which have
+    no real root and are not identically zero, so an identically zero
     polynomial still arrives. root_keys reports each, counting an
     identically zero polynomial as an always-collinear triple and a
     double root as tangential. Equal times have equal keys, so a bucket
@@ -181,7 +181,7 @@ def _buckets(scene: Scene) -> tuple[dict[RootKey, list[_Root]], int]:
     by_key: dict[RootKey, list[_Root]] = {}
     always = 0
     for a, b, c, c2, c1, c0 in triple_polynomials(
-        scene.points, skip_negative_discriminant=True
+        scene.points, skip_never_collinear=True
     ):
         keys, identically_zero, double_root = root_keys(c2, c1, c0)
         always += identically_zero
@@ -379,7 +379,7 @@ def always_collinear_groups(scene: Scene) -> list[tuple[str, ...]]:
     links = [
         [(a.id, b.id), (a.id, c.id), (b.id, c.id)]
         for a, b, c, c2, c1, c0 in triple_polynomials(
-            scene.points, skip_negative_discriminant=True
+            scene.points, skip_never_collinear=True
         )
         if c2 == c1 == c0 == 0
     ]

@@ -16,8 +16,21 @@ determinant, a positive multiple, so its roots and signs are the same,
 and the event pipeline keys them with root_keys without building a
 Fraction. It is the one place the triple determinant is expanded, and
 the one place its discriminant is tested: the event pipeline asks it to
-drop the triples with a negative discriminant, and gets no tuple for
-them. collinearity_polynomial is its one-triple case over Fraction,
+drop the triples that are never collinear, and gets no tuple for them.
+
+Most of a never-collinear scene is dropped a whole pivot fan at a time.
+The difference u(t) = u0 + t*u1 turns about the pivot with sense
+K_u = cross(u0, u1), and a pair's discriminant is the integer identity
+(cross(u0, v1) - cross(u1, v0))**2 - 4*K_u*K_v. When every K has one
+strict sign, the fan is sorted by direction at t = 0, exactly, by
+integer keys at resolution 2**-S with S = 2*max bit_length(y) + 2,
+which separates any two distinct directions, and only its m cyclically
+adjacent pairs are tested: as in a kinetic sorted order (Basch, Guibas
+and Hershberger 1999), the first pair to meet is a pair of neighbours.
+So a scene with no collinearity, such as the circle families, costs
+about n**2 log n instead of n**3/6 triple expansions.
+
+collinearity_polynomial is its one-triple case over Fraction,
 classify_triple is solve_quadratic of that polynomial, and
 surfaces.surface_of_pair reads the pair surface F_ab(x, y, t) off it, as
 the determinant of (a, b) and a point parked at (x, y).
@@ -140,12 +153,14 @@ def position_at(point: KineticPoint, t: TimeLike) -> tuple[AlgebraicTime, Algebr
 
 
 def triple_polynomials(
-    points: Sequence[KineticPoint], *, skip_negative_discriminant: bool = False
+    points: Sequence[KineticPoint], *, skip_never_collinear: bool = False
 ) -> Iterator[tuple[KineticPoint, KineticPoint, KineticPoint, int, int, int]]:
     """(a, b, c, c2, c1, c0) for every triple of points, in combinations
     order, with (c2, c1, c0) the integer collinearity polynomial scaled by
-    D_a**2*D_b*D_c; with skip_negative_discriminant, only the triples with
-    c1**2 >= 4*c2*c0, in the same order.
+    D_a**2*D_b*D_c; with skip_never_collinear, only the triples that are
+    collinear at some time, in the same order: those with a real root
+    (c1**2 >= 4*c2*c0 and not c2 == c1 == 0 != c0) and those whose
+    polynomial is identically zero, which the event pipeline counts.
 
     For each pivot a, the linear-in-t difference b - a to each later point
     b is kept as integers (x0, x1, y0, y1) over D_a*D_b, with the sums
@@ -154,11 +169,13 @@ def triple_polynomials(
     cross(u0, v0) and c1 = cross(u0 + u1, v0 + v1) - c2 - c0: six
     products, and the degree never exceeds 2.
 
-    A negative discriminant means no real root, so such a triple is never
-    collinear and the event pipeline skips it here, before a tuple is
-    built. A zero discriminant is kept: it is a double root, a nonzero
-    constant (no root), or the identically zero polynomial of an
-    always-collinear triple, which the pipeline counts.
+    A negative discriminant means no real root, and a nonzero constant
+    none either, so such a triple is never collinear and is skipped here,
+    before a tuple is built. Before its triples, each pivot's whole fan is
+    offered to _fan_never_collinear, which certifies in about m log m
+    work that no two of its m entries are ever collinear with the pivot;
+    a certified pivot yields nothing and its C(m, 2) triples are never
+    expanded.
     """
     forms = [(pt, pt.homogeneous) for pt in points]
     for i, (a, (ax, ay, avx, avy, ad)) in enumerate(forms):
@@ -167,14 +184,95 @@ def triple_polynomials(
             x0, x1 = bx * ad - ax * bd, bvx * ad - avx * bd
             y0, y1 = by * ad - ay * bd, bvy * ad - avy * bd
             fan.append((b, x0, x1, y0, y1, x0 + x1, y0 + y1))
+        if skip_never_collinear and len(fan) > 1 and _fan_never_collinear(fan):
+            continue
         for j, (b, ux0, ux1, uy0, uy1, uxs, uys) in enumerate(fan):
             for c, vx0, vx1, vy0, vy1, vxs, vys in fan[j + 1 :]:
                 c2 = ux1 * vy1 - uy1 * vx1
                 c0 = ux0 * vy0 - uy0 * vx0
                 c1 = uxs * vys - uys * vxs - c2 - c0
-                if skip_negative_discriminant and c1 * c1 < 4 * c2 * c0:
+                if skip_never_collinear and (
+                    c1 * c1 < 4 * c2 * c0 or (not c2 and not c1 and c0)
+                ):
                     continue
                 yield (a, b, c, c2, c1, c0)
+
+
+def _aligns(u: tuple, v: tuple) -> bool:
+    """Whether the fan entries u and v may be collinear with their pivot
+    at some time: the triple's discriminant c1**2 - 4*c2*c0 is
+    nonnegative, from the same six products as triple_polynomials."""
+    _, ux0, ux1, uy0, uy1, uxs, uys = u
+    _, vx0, vx1, vy0, vy1, vxs, vys = v
+    c2 = ux1 * vy1 - uy1 * vx1
+    c0 = ux0 * vy0 - uy0 * vx0
+    c1 = uxs * vys - uys * vxs - c2 - c0
+    return c1 * c1 >= 4 * c2 * c0
+
+
+def _fan_never_collinear(fan: Sequence[tuple]) -> bool:
+    """True only if no two entries of a pivot fan (at least two) are ever
+    collinear with the pivot; False when that is not certified.
+
+    An entry u(t) = u0 + t*u1 turns about the pivot with sense
+    K_u = cross(u0, u1), since its angle has derivative K_u/|u(t)|**2.
+    A pair's discriminant is the integer identity
+    c1**2 - 4*c2*c0 = (cross(u0, v1) - cross(u1, v0))**2 - 4*K_u*K_v,
+    so a pair is never collinear only if K_u*K_v > 0. A fan whose first
+    two entries align is not certified, nor one with a K whose product
+    with the first entry's K is not positive: these two tests send most
+    fans that hold a collinear pair to the triple loop before any sort.
+
+    Otherwise no u(t) is ever zero, so each entry's direction moves
+    continuously on the circle of directions mod pi, and two entries are
+    collinear with the pivot exactly when their directions meet. The fan
+    is sorted by direction at t = 0 and only its m cyclically adjacent
+    pairs, the wrap pair (last, first) included, are tested. Take the
+    earliest t > 0 at which some pair meets: until then the cyclic order
+    is the one at t = 0, and the entries inside the closing arc meet its
+    ends at that t too, so an adjacent pair meets there; the same holds
+    for t < 0. Directions equal at t = 0 sort next to each other, and a
+    double root has a zero discriminant, so both fail the test. This is
+    the neighbour argument of kinetic sorted orders (Basch, Guibas and
+    Hershberger 1999): the first swap is always between neighbours.
+
+    The order is _angular_order's; two horizontal entries are a tie, so
+    the fan is not certified.
+    """
+    if _aligns(fan[0], fan[1]):
+        return False
+    _, x0, x1, y0, y1, _, _ = fan[0]
+    sense = x0 * y1 - y0 * x1
+    for _, x0, x1, y0, y1, _, _ in fan:
+        if (x0 * y1 - y0 * x1) * sense <= 0:
+            return False
+    ring = _angular_order(fan)
+    return ring is not None and not any(
+        _aligns(fan[j], fan[k]) for j, k in zip(ring, ring[1:] + ring[:1])
+    )
+
+
+def _angular_order(fan: Sequence[tuple]) -> Optional[list[int]]:
+    """Indices of the fan entries in the order of their directions u0 at
+    t = 0, mod pi, ties in index order; None when two entries are
+    horizontal.
+
+    The order is exact and integer. Each u0 is taken into y > 0, or y = 0
+    with x > 0, where its angle is in [0, pi): a horizontal entry goes
+    first, and the rest sort by the key floor(-x/y * 2**S), with
+    S = 2*max bit_length(y) + 2. Two distinct directions have cotangents
+    at least 1/(y1*y2) > 2**-S apart, so their keys differ, and equal
+    directions get equal keys.
+    """
+    flat = [j for j, entry in enumerate(fan) if not entry[3]]
+    if len(flat) > 1:
+        return None
+    shift = 2 * max(abs(entry[3]).bit_length() for entry in fan) + 2
+    keys = [
+        ((x0 if y0 < 0 else -x0) << shift) // abs(y0) if y0 else 0
+        for _, x0, _, y0, _, _, _ in fan
+    ]
+    return flat + sorted((j for j in range(len(fan)) if fan[j][3]), key=keys.__getitem__)
 
 
 def collinearity_polynomial(

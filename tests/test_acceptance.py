@@ -82,9 +82,13 @@ def test_criterion_3_circle_families_have_zero_events():
         assert len(set(speeds)) == n
         for a, b in combinations(stretched.points, 2):
             assert a.vel[0] * b.vel[1] - a.vel[1] * b.vel[0] != 0
+    for build in (gen_no_collinearity, gen_no_collinearity_distinct):
+        scene = build(200)
+        assert enumerate_events(scene) == []
+        assert audit_bounds(scene, 3).event_count_3 == 0
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
-    report(3, f"both circle families n=3..12 produced zero events, {elapsed:.2f}s")
+    report(3, f"both circle families n=3..12 and n=200 produced zero events, {elapsed:.2f}s")
 
 
 def test_criterion_4_two_line_regime_hits_the_lower_bound():

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, product
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import kineticlines.events
 import kineticlines.exact_numbers
+import kineticlines.kinematics
 from kineticlines import (
     AlgebraicTime,
     CollinearityEvent,
@@ -33,6 +35,7 @@ from kineticlines import (
     evaluate_at_time,
     gen_lower_bound,
     gen_no_collinearity,
+    gen_no_collinearity_distinct,
     gen_random,
     gen_tight,
     gen_tight_ellipse,
@@ -40,7 +43,7 @@ from kineticlines import (
     solve_quadratic,
 )
 from kineticlines.events import _bf_poly, _bucket_lines, _event_shapes, _line_key
-from kineticlines.kinematics import triple_polynomials
+from kineticlines.kinematics import _angular_order, triple_polynomials
 
 from conftest import coords, kinetic_grid, make_scene, parameter_cube, serialized
 
@@ -1109,12 +1112,17 @@ class TestConjugatePairs:
 
 
 def assert_filtered_stream(points):
-    """With skip_negative_discriminant, triple_polynomials yields exactly
-    the triples of the full stream with c1**2 >= 4*c2*c0, in its order;
-    returns the filtered stream."""
+    """With skip_never_collinear, triple_polynomials yields exactly the
+    triples of the full stream that are collinear at some time, in its
+    order: c1**2 >= 4*c2*c0, less the nonzero constants; returns the
+    filtered stream."""
     every = list(triple_polynomials(points))
-    kept = list(triple_polynomials(points, skip_negative_discriminant=True))
-    assert kept == [row for row in every if row[4] * row[4] >= 4 * row[3] * row[5]]
+    kept = list(triple_polynomials(points, skip_never_collinear=True))
+    assert kept == [
+        (a, b, c, c2, c1, c0)
+        for a, b, c, c2, c1, c0 in every
+        if c1 * c1 >= 4 * c2 * c0 and not (c2 == c1 == 0 != c0)
+    ]
     return kept
 
 
@@ -1152,24 +1160,119 @@ class TestDiscriminantFilter:
     @pytest.mark.parametrize(
         "specs, polynomial",
         [
-            # one shared velocity: the determinant is the constant 1
-            ((("a", (0, 0), (1, 1)), ("b", (1, 0), (1, 1)), ("c", (0, 1), (1, 1))), (0, 0, 1)),
             # a static column: identically zero, always collinear
             ((("a", (0, 0), (0, 0)), ("b", (1, 0), (0, 0)), ("c", (2, 0), (0, 0))), (0, 0, 0)),
             # tangential_scene's a, b and c: (t - 1)**2, a double root
             ((("a", (0, 0), (0, 0)), ("b", (0, 1), (1, 0)), ("c", (-1, -2), (0, 1))), (1, -2, 1)),
         ],
-        ids=["constant", "identically_zero", "double_root"],
+        ids=["identically_zero", "double_root"],
     )
     def test_zero_discriminant_kept(self, specs, polynomial):
         ((*_, c2, c1, c0),) = assert_filtered_stream(make_scene(*specs).points)
         assert (c2, c1, c0) == polynomial
 
+    def test_nonzero_constant_dropped(self):
+        # one shared velocity: the determinant is the constant 1, whose
+        # discriminant is zero, yet the triple is never collinear
+        scene = make_scene(("a", (0, 0), (1, 1)), ("b", (1, 0), (1, 1)), ("c", (0, 1), (1, 1)))
+        assert [row[3:] for row in triple_polynomials(scene.points)] == [(0, 0, 1)]
+        assert assert_filtered_stream(scene.points) == []
+
     def test_negative_discriminant_dropped(self):
         # quadratic_pair_scene moved so its determinant is t**2 + 4
         scene = make_scene(("a", (0, 0), (0, 0)), ("b", (0, 1), (1, 0)), ("c", (-4, 0), (0, 1)))
         assert list(triple_polynomials(scene.points)) != []
-        assert list(triple_polynomials(scene.points, skip_negative_discriminant=True)) == []
+        assert list(triple_polynomials(scene.points, skip_never_collinear=True)) == []
+
+
+def cross_order(fan):
+    """The fan's indices ordered by the direction of u0 mod pi with an
+    exact cross-product comparator, ties in index order."""
+    def upper(entry):
+        x, y = entry[1], entry[3]
+        return (-x, -y) if y < 0 or (y == 0 and x < 0) else (x, y)
+
+    def compare(i, j):
+        (ux, uy), (vx, vy) = upper(fan[i]), upper(fan[j])
+        cross = ux * vy - uy * vx
+        return (cross < 0) - (cross > 0)
+
+    return sorted(range(len(fan)), key=cmp_to_key(compare))
+
+
+@st.composite
+def near_parallel_fans(draw):
+    """Fan entries whose directions u0 at t = 0 are 40-bit vectors within
+    about 2**-80 of one another, from a primitive (x, y) and its Farey
+    neighbour (x', y'), x'*y - y'*x = 1: their sums x + j*x' and
+    multiples, either sign, and at most two horizontal entries."""
+    y = draw(st.integers(2**39, 2**40 - 1))
+    x = draw(st.integers(-(2**40), 2**40).filter(lambda x: math.gcd(x, y) == 1))
+    ny = -pow(x, -1, y) % y
+    nx = (1 + ny * x) // y
+    steps = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=12))
+    directions = []
+    for j in steps:
+        scale = draw(st.sampled_from([1, -1, 2, -3]))
+        directions.append((scale * (x + j * nx), scale * (y + j * ny)))
+    directions += draw(st.lists(st.sampled_from([(1, 0), (-5, 0)]), max_size=2))
+    order = draw(st.permutations(directions))
+    return [(None, dx, 0, dy, 0, dx, dy) for dx, dy in order]
+
+
+class TestFanCertificate:
+    """The pivot-fan certificate of triple_polynomials: a fan whose
+    neighbours in angular order are never collinear with the pivot yields
+    nothing, and any other fan goes through the triple loop."""
+
+    @pytest.mark.parametrize(
+        "rows, event_count",
+        [
+            # the pivot's one aligning pair is the wrap pair of its ring
+            (((-4, 0, 1, 2), (-4, -2, 0, 3), (1, 4, 0, -3), (1, -1, -1, 2)), 4),
+            # the pivot's triple (0, 1, 2) is 3*(t - 2)**2: a double root
+            (((-2, -2, 3, -2), (4, 2, 0, 1), (4, 4, 0, 0), (1, -2, 2, 2)), 3),
+        ],
+        ids=["wrap", "tangent"],
+    )
+    def test_pinned_fans_keep_their_events(self, rows, event_count):
+        # each row is (x, y, vx, vy), pivot first
+        scene = make_scene(*((str(i), (x, y), (vx, vy)) for i, (x, y, vx, vy) in enumerate(rows)))
+        events = enumerate_events(scene)
+        assert len(events) == event_count
+        assert serialized(events) == serialized(brute_force_events(scene))
+        assert assert_filtered_stream(scene.points)
+
+    @given(near_parallel_fans())
+    @settings(max_examples=200, deadline=None)
+    def test_angular_order_is_exact(self, fan):
+        horizontal = sum(1 for entry in fan if entry[3] == 0)
+        expected = None if horizontal > 1 else cross_order(fan)
+        assert _angular_order(fan) == expected
+
+    @pytest.mark.parametrize("build", [gen_no_collinearity, gen_no_collinearity_distinct])
+    def test_circle_families_certify_every_pivot(self, build, monkeypatch):
+        checks, fans = [0], []
+        kinematics = kineticlines.kinematics
+        aligns, certify = kinematics._aligns, kinematics._fan_never_collinear
+
+        def counting_aligns(u, v):
+            checks[0] += 1
+            return aligns(u, v)
+
+        def recording_certify(fan):
+            checks[0] = 0
+            fans.append((len(fan), certify(fan), checks[0]))
+            return fans[-1][1]
+
+        monkeypatch.setattr(kinematics, "_aligns", counting_aligns)
+        monkeypatch.setattr(kinematics, "_fan_never_collinear", recording_certify)
+        n = 60
+        assert list(triple_polynomials(build(n).points, skip_never_collinear=True)) == []
+        assert [m for m, _, _ in fans] == list(range(n - 1, 1, -1))
+        for m, certified, pair_checks in fans:
+            assert certified
+            assert pair_checks <= m + 1
 
 
 def moved(scene, pos_of, vel_of, id_of=lambda pid: pid):
