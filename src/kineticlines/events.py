@@ -111,7 +111,10 @@ class CollinearityEvent:
         }
 
 
-# CollinearityEvent's slot writers: no frozen __setattr__, no __post_init__
+# CollinearityEvent's slot writers: no frozen __setattr__, no __post_init__.
+# Kept for random-scenes, where event building is most of the walk: with
+# the checked constructor its op_ref.p50 was 1.6-2.9% worse (3 alternating
+# pairs; tight-extremal -1.8 to +6.0%, within its noise).
 _EVENT_SETTERS = tuple(
     getattr(CollinearityEvent, name).__set__
     for name in ("time", "members", "k", "anchors", "tangential", "contains_subcollision")
@@ -125,15 +128,16 @@ _Lines = tuple[list[list], Optional[dict[str, tuple[int, int]]]]
 _Shape = tuple[tuple[str, ...], tuple[str, str], bool, bool]
 
 
-def _components(links: Sequence[Sequence[tuple[str, str]]]) -> list[list[int]]:
-    """Entries joined through shared pairs, as lists of entry indices.
+def _components(trios: Sequence[tuple[str, str, str]]) -> list[list]:
+    """Point-id triples joined through shared pairs, each component as
+    [its point ids, its triple count].
 
-    links[i] holds the pairs of entry i, and two entries with a pair in
-    common are in one component (union-find with path halving, Tarjan
-    1975). Every entry is in one component, so no entries give none and
-    one entry gives [[0]].
+    Two triples with a pair in common are in one component (union-find
+    over the triples with path halving, Tarjan 1975). A pair is keyed as
+    its triple lists it, which is scene order for every caller. Every
+    triple is in one component, so no triples give none.
     """
-    parent = list(range(len(links)))
+    parent = list(range(len(trios)))
 
     def root(i: int) -> int:
         while parent[i] != i:
@@ -141,15 +145,15 @@ def _components(links: Sequence[Sequence[tuple[str, str]]]) -> list[list[int]]:
         return i
 
     owner: dict[tuple[str, str], int] = {}
-    for i, pairs in enumerate(links):
-        for pair in pairs:
+    for i, (a, b, c) in enumerate(trios):
+        for pair in ((a, b), (a, c), (b, c)):
             j = owner.setdefault(pair, i)
             if j != i:
                 parent[root(j)] = root(i)
-    components: dict[int, list[int]] = {}
-    for i in range(len(links)):
-        components.setdefault(root(i), []).append(i)
-    return list(components.values())
+    components: dict[int, list[tuple[str, str, str]]] = {}
+    for i, trio in enumerate(trios):
+        components.setdefault(root(i), []).append(trio)
+    return [[set().union(*members), len(members)] for members in components.values()]
 
 
 def _line_key(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int, int]:
@@ -194,7 +198,12 @@ def _meet(key: tuple[int, int], trio: Sequence[KineticPoint]) -> bool:
     """Whether the points of trio all coincide at the rational time
     num/den of key: a point's position is (X*den + VX*num, Y*den + VY*num)
     over D*den, and two of them coincide when the cross products of
-    numerators and denominators agree."""
+    numerators and denominators agree.
+
+    audit_bounds asks this of each one-triple rational bucket (89 in a
+    lower-bound-audit pass) in place of the positions _bucket_lines
+    builds; its one-triple branch says what that saves.
+    """
     num, den = key
     (x, y, vx, vy, d), *others = (pt.homogeneous for pt in trio)
     px, py = x * den + vx * num, y * den + vy * num
@@ -259,12 +268,12 @@ def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
     if len(key) > 2:
         # every pair is distinct at an irrational time, and no root is double
         trios = [(a.id, b.id, c.id) for a, b, c, _ in roots]
-        components = _components([[(a, b), (a, c), (b, c)] for a, b, c in trios])
-        lines = [[{pid for i in comp for pid in trios[i]}, False, len(comp)] for comp in components]
-        return lines, None
+        return [[ids, False, count] for ids, count in _components(trios)], None
     # integer positions at t = num/den over the one denominator
     # den*lcm(D), so that coincidence is tuple equality and a line has an
-    # integer key
+    # integer key; the keys are kept for lower-bound-audit, whose large
+    # buckets are rational: union-find over shared pairs here, as at an
+    # irrational time, made one audit pass 35-40% slower
     num, den = key
     forms = {pt.id: pt.homogeneous for root in roots for pt in root[:3]}
     common = math.lcm(*(form[4] for form in forms.values()))
@@ -337,6 +346,9 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     times = key_times([key for key, _ in kept])
     shapes = []
     for key, roots in kept:
+        # kept for random-scenes and tight-extremal, where every bucket is
+        # one irrational triple: through _bucket_lines, random-scenes'
+        # op_ref.p50 was 1.4-4.8% worse (3 alternating pairs)
         if len(key) > 2 and len(roots) == 1:
             a, b, c, _ = roots[0]
             members = tuple(sorted((a.id, b.id, c.id)))
@@ -376,17 +388,16 @@ def always_collinear_groups(scene: Scene) -> list[tuple[str, ...]]:
     through that pair, whose points meet at most once, so the groups are
     the always-collinear triples joined over shared pairs.
     """
-    links = [
-        [(a.id, b.id), (a.id, c.id), (b.id, c.id)]
+    # its own pass, not _buckets': reading the always-collinear triples
+    # off the buckets was 3-4 times slower on random and tight scenes
+    trios = [
+        (a.id, b.id, c.id)
         for a, b, c, c2, c1, c0 in triple_polynomials(
             scene.points, skip_never_collinear=True
         )
         if c2 == c1 == c0 == 0
     ]
-    return sorted(
-        tuple(sorted({pid for i in component for pair in links[i] for pid in pair}))
-        for component in _components(links)
-    )
+    return sorted(tuple(sorted(ids)) for ids, _ in _components(trios))
 
 
 @dataclass(frozen=True)
@@ -433,6 +444,9 @@ def audit_bounds(scene: Scene, k: int) -> BoundAudit:
     count_3 = count_k = incidences = 0
     for key, roots in buckets.items():
         times = len(key) // 2
+        # kept for lower-bound-audit: 119 of the 155 buckets of one pass
+        # hold one triple, and through _bucket_lines its op_ref.p50 was
+        # 9-12% worse (3 alternating pairs)
         if len(roots) == 1:
             if times == 1 and _meet(key, roots[0][:3]):
                 continue
@@ -479,10 +493,6 @@ def _event_order(e1: CollinearityEvent, e2: CollinearityEvent) -> int:
     if e1.members == e2.members:
         return 0
     return -1 if e1.members < e2.members else 1
-
-
-def _sorted_events(events: Iterable[CollinearityEvent]) -> list[CollinearityEvent]:
-    return sorted(events, key=cmp_to_key(_event_order))
 
 
 def _bf_static_orientation(
@@ -610,4 +620,4 @@ def brute_force_events(
                     contains_subcollision=distinct < len(members),
                 )
             )
-    return _sorted_events(events)
+    return sorted(events, key=cmp_to_key(_event_order))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .exact_numbers import AlgebraicTime
 from .kinematics import KineticPoint, TimeLike, collinearity_polynomial, collision_time
@@ -28,8 +28,6 @@ __all__ = [
 ]
 
 Plane = tuple[Fraction, Fraction, Fraction, Fraction]
-
-CoordLike = Union[AlgebraicTime, Fraction, int]
 
 # points parked at (0, 0), (1, 0) and (0, 1), where surface_of_pair reads F
 _PARKED = tuple(KineticPoint.make("", pos, (0, 0)) for pos in ((0, 0), (1, 0), (0, 1)))
@@ -48,7 +46,7 @@ class SurfacePolynomial:
     coeff_t: Fraction
     coeff_tt: Fraction
 
-    def evaluate(self, x: CoordLike, y: CoordLike, t: TimeLike) -> AlgebraicTime:
+    def evaluate(self, x: TimeLike, y: TimeLike, t: TimeLike) -> AlgebraicTime:
         """Exact value of F at a point whose coordinates may be quadratic."""
         tv = t if isinstance(t, AlgebraicTime) else AlgebraicTime.from_rational(t)
         return (
@@ -138,7 +136,7 @@ def _linear_factor(surf: SurfacePolynomial, t_c: Fraction) -> Plane:
 
 
 def surface_contains(
-    surf: SurfacePolynomial, x: CoordLike, y: CoordLike, t: TimeLike
+    surf: SurfacePolynomial, x: TimeLike, y: TimeLike, t: TimeLike
 ) -> bool:
     """Exact membership test of a spacetime point in the surface."""
     return surf.evaluate(x, y, t).is_zero()

@@ -353,3 +353,13 @@ class TestRandom:
             n = len(gen_random(6, seed).points)
             count = count_k_collinearities(gen_random(6, seed), 3)
             assert count <= 2 * math.comb(n, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: gen_random(0, 1), lambda: gen_no_collinearity(0), lambda: gen_no_collinearity_distinct(0)],
+    ids=["random", "no_collinearity", "no_collinearity_distinct"],
+)
+def test_empty_scene_refused(build):
+    with pytest.raises(ValueError, match="n must be positive"):
+        build()

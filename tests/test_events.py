@@ -372,6 +372,12 @@ class TestEnumerateEvents:
         with pytest.raises(AssertionError):
             CollinearityEvent(e.time, e.members, e.k, e.anchors, e.tangential, e.contains_subcollision)
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_checked_constructor_refuses_a_wrong_member_count(self, k):
+        e = enumerate_events(quadratic_pair_scene())[0]
+        with pytest.raises(ValueError, match="k must equal the member count"):
+            CollinearityEvent(e.time, e.members, k, e.anchors, e.tangential, e.contains_subcollision)
+
     def test_event_json_shape(self):
         e = enumerate_events(quadratic_pair_scene())[0]
         payload = e.to_json()
@@ -1078,7 +1084,7 @@ class TestConjugatePairs:
         monkeypatch.setattr(
             kineticlines.events,
             "_components",
-            lambda links: calls.append(links) or components(links),
+            lambda trios: calls.append(trios) or components(trios),
         )
         for k_min in (3, 4):
             calls.clear()

@@ -261,6 +261,50 @@ class TestAlgebraicTimeCanonicalForm:
         assert (quad["p"], quad["q"], quad["d"], quad["r"]) == ("1", "1", 2, "1")
         assert abs(quad["approx"] - (1 + 2**0.5)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("d", 2.9),  # read as 2 by int(), that is 1 + sqrt(2)
+            ("p", 1.5),
+            ("q", True),
+            ("r", False),
+            ("d", "2.0"),
+            ("p", " 1"),
+            ("q", "+1"),
+            ("p", "-"),
+            ("r", None),
+            ("d", [2]),
+            ("r", "missing"),
+        ],
+    )
+    def test_json_quadratic_field_must_be_an_integer(self, field, value):
+        obj = {"kind": "quadratic", "p": "1", "q": "1", "d": 3, "r": "1"}
+        obj[field] = value
+        if value == "missing":
+            del obj[field]
+        with pytest.raises(ValueError, match=f"quadratic time field '{field}' must be an integer"):
+            AlgebraicTime.from_json(obj)
+
+    def test_json_quadratic_integers_and_digit_strings(self):
+        # to_json writes p, q and r as strings and d as an int; either form
+        # is read, with a minus sign on the string
+        expected = AlgebraicTime.make(-3, -1, 2, 2)
+        assert AlgebraicTime.from_json(
+            {"kind": "quadratic", "p": -3, "q": "-1", "d": "2", "r": 2}
+        ) == expected
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([], "must be an object with a 'kind' field"),
+            ({"value": "1/2"}, "must be an object with a 'kind' field"),
+            ({"kind": "complex", "value": "1/2"}, "unknown time kind 'complex'"),
+        ],
+    )
+    def test_json_not_a_time(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            AlgebraicTime.from_json(obj)
+
     def test_json_beyond_float_range_is_strict(self):
         # strict JSON has no Infinity: a non-finite approx is written null
         for t in (AlgebraicTime.make(10**320, 1, 2, 1), AlgebraicTime.make(-(10**320), 1, 2, 1)):
@@ -553,6 +597,29 @@ class TestCompareTimes:
         a = AlgebraicTime.make(1, -1, 2, 1)
         b = AlgebraicTime.from_rational(F(1))
         assert a < b and b > a and a <= a and b >= b
+        # the four operators agree with compare_times, also between two
+        # spellings of one value, which == tells apart
+        spelled = (AlgebraicTime(0, 1, 12, 1), AlgebraicTime.make(0, 2, 3, 1))
+        for x, y in [(a, b), (b, a), (a, a), spelled, spelled[::-1]]:
+            c = compare_times(x, y)
+            assert ((x < y), (x <= y), (x > y), (x >= y)) == (c < 0, c <= 0, c > 0, c >= 0)
+
+    @pytest.mark.parametrize("other", [2, F(1, 2), 0.5, "1", None])
+    def test_ordering_against_another_type_raises_type_error(self, other):
+        # as == never equates a time with an int, < never orders them:
+        # Python raises TypeError, not the AttributeError of compare_times
+        t = AlgebraicTime.from_rational(1)
+        assert t != other
+        for order in (
+            lambda: t < other,
+            lambda: t <= other,
+            lambda: t > other,
+            lambda: t >= other,
+            lambda: other < t,
+            lambda: other >= t,
+        ):
+            with pytest.raises(TypeError):
+                order()
 
     def test_rt2_convergents_inside_one_64_bit_interval(self):
         rt2 = AlgebraicTime.make(0, 1, 2, 1)

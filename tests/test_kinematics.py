@@ -1,5 +1,6 @@
 """Kinetic points, scenes, the triple polynomial, and classification."""
 
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -45,6 +46,17 @@ class TestSceneValidation:
         # a lone surrogate could not be written to a listing, CSV or SVG
         with pytest.raises(SceneError, match="not encodable as UTF-8"):
             make_scene((pid, (0, 0), (1, 0)), ("b", (1, 1), (0, 0)))
+
+    @pytest.mark.parametrize(
+        "pos, vel, name",
+        [((0.5, 0), (1, 1), "pos[0]"), ((0, 0), (1, "1"), "vel[1]"), ((0, None), (1, 1), "pos[1]")],
+    )
+    def test_coordinate_must_be_rational(self, pos, vel, name):
+        # a float or a string is refused by name, as a coordinate over the
+        # digit limit is, not with an AttributeError from the limit check
+        message = re.escape(f"point 'a': {name} is not an int or a Fraction")
+        with pytest.raises(SceneError, match=message):
+            Scene((KineticPoint("a", pos, vel),))
 
     def test_lookup(self):
         scene = make_scene(("a", (0, 0), (1, 0)), ("b", (1, 1), (0, 0)))

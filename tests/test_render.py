@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from kineticlines import render
 from kineticlines import (
     enumerate_events,
     gen_no_collinearity,
@@ -145,3 +146,57 @@ def test_ids_escaped_as_xml_text():
         labels = [node.text for node in texts]
         assert {"a<b", "R&D", "c"} <= set(labels)
         assert ">a&lt;b</text>" in doc and ">R&amp;D</text>" in doc
+
+
+@pytest.mark.parametrize(
+    "points, attribute, centre",
+    [
+        # every point on the vertical line x = 0 at both times
+        ((("a", (0, 0), (0, 1)), ("b", (0, 1), (0, 0))), "cx", "240.0000"),
+        # every point on the horizontal line y = 0 at both times
+        ((("a", (0, 0), (1, 0)), ("b", (1, 0), (0, 0))), "cy", "180.0000"),
+    ],
+    ids=["vertical", "horizontal"],
+)
+def test_degenerate_viewport_is_widened_and_centred(points, attribute, centre):
+    # a zero-width data box would divide by zero; it is widened by one
+    # unit about the line, which lands in the middle of the frame
+    for doc in render_scene(make_scene(*points), [F(0), F(1)]):
+        dots = re.findall(rf'<circle [^>]*{attribute}="([^"]*)"', doc)
+        assert dots == [centre, centre]
+
+
+def test_event_line_with_coincident_float_anchors_is_skipped():
+    # at t = 0 the event's anchors a and b are 10**-30 apart, one float:
+    # the line through them has no direction to draw, so only dots remain
+    e = F(1, 10**30)
+    scene = make_scene(
+        ("a", (1, 0), (0, 1)),
+        ("b", (1 + e, 0), (0, 0)),
+        ("c", (1 + 2 * e, 0), (0, -2)),
+    )
+    (event,) = enumerate_events(scene)
+    assert event.time.as_fraction() == 0 and event.anchors == ("a", "b")
+    (doc,) = render_scene(scene, [F(0)])
+    assert 'stroke="#d08020"' not in doc
+    assert doc.count("<circle ") == 3
+
+
+class TestClipLine:
+    VIEW = render._Viewport(0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((0.5, 0.5), (0.5, 0.5)),  # no direction
+            ((0.0, 2.0), (1.0, 2.0)),  # horizontal, above the box
+            ((-1.0, 0.0), (-1.0, 1.0)),  # vertical, left of the box
+            ((2.0, 0.0), (3.0, 1.0)),  # slanted, past the corner (1, 0)
+        ],
+        ids=["point", "above", "left", "past_corner"],
+    )
+    def test_line_missing_the_box_gives_none(self, a, b):
+        assert render._clip_line(*a, *b, self.VIEW) is None
+
+    def test_line_through_the_box_ends_on_its_sides(self):
+        assert render._clip_line(0.5, 0.5, 1.0, 1.0, self.VIEW) == ((0.0, 0.0), (1.0, 1.0))

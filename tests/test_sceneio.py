@@ -84,6 +84,21 @@ class TestDiagnostics:
         with pytest.raises(SceneError, match="version"):
             scene_from_json({"version": 99, "points": []})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "scene document must be a JSON object"),
+            ("scene", "scene document must be a JSON object"),
+            ({"version": 1, "points": [["a", ["0", "0"], ["1", "0"]]]}, r"points\[0\]: expected an object"),
+            ({"version": 1, "points": [], "meta": []}, "'meta' must be an object"),
+            ({"version": 1, "points": [], "meta": None}, "'meta' must be an object"),
+        ],
+        ids=["list", "string", "entry", "meta_list", "meta_null"],
+    )
+    def test_not_an_object(self, doc, message):
+        with pytest.raises(SceneError, match=message):
+            scene_from_json(doc)
+
     def test_missing_points(self):
         with pytest.raises(SceneError, match="points"):
             scene_from_json({"version": 1})
