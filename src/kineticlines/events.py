@@ -15,14 +15,14 @@ a -+ sqrt(b), whose two times hold the same triples. The enumeration
 path here expands no determinant and tests no discriminant.
 _bucket_lines finds a bucket's lines with their member ids, tangential
 flags and triple incidences: a rational bucket groups its triples by the
-integer key of their line, and union-find over shared pairs serves only
-irrational buckets of two or more triples and always_collinear_groups.
+integer key of their line, and union-find over shared pairs serves
+irrational buckets and always_collinear_groups.
 
 enumerate_events alone builds events: the times of the kept buckets from
 one exact_numbers.key_times call, each kept bucket's event shapes
 (members, anchors and flags, with no time) found once before the walk
 over times, the walk's order from time_order, and at each time one event
-per shape of its bucket, written slot by slot with no second check.
+per shape of its bucket.
 audit_bounds and count_k_collinearities stop at lines and count a pair
 bucket's twice, with no time built, no radicand reduced, no sort and no
 event object.
@@ -80,13 +80,7 @@ class CollinearityEvent:
     distinct positions there; they span the event line. tangential is set
     when some member triple only touches collinearity at this time (a
     double root). contains_subcollision is set when some, but not all,
-    members coincide at the event time.
-
-    The constructor checks that k is the member count. enumerate_events
-    builds its events through _EVENT_SETTERS instead, with no __init__ or
-    __post_init__: it sets k to len(members) itself, so the check could
-    not fail there, and the checked constructor, through the frozen
-    dataclass's setattr, costs about three times the slot writes.
+    members coincide at the event time. k must be the member count.
     """
 
     time: AlgebraicTime
@@ -110,15 +104,6 @@ class CollinearityEvent:
             "contains_subcollision": self.contains_subcollision,
         }
 
-
-# CollinearityEvent's slot writers: no frozen __setattr__, no __post_init__.
-# Kept for random-scenes, where event building is most of the walk: with
-# the checked constructor its op_ref.p50 was 1.6-2.9% worse (3 alternating
-# pairs; tight-extremal -1.8 to +6.0%, within its noise).
-_EVENT_SETTERS = tuple(
-    getattr(CollinearityEvent, name).__set__
-    for name in ("time", "members", "k", "anchors", "tangential", "contains_subcollision")
-)
 
 # a root triple a, b, c and whether the root is double
 _Root = tuple[KineticPoint, KineticPoint, KineticPoint, bool]
@@ -166,51 +151,33 @@ def _line_key(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int, int]:
     return (dx, dy, dx * p[1] - dy * p[0])
 
 
-def _buckets(scene: Scene) -> tuple[dict[RootKey, list[_Root]], int]:
-    """Every triple in a bucket under each of its root keys, and the
-    number of always-collinear triples.
+def _buckets(scene: Scene) -> tuple[dict[RootKey, list[_Root]], list[tuple[str, str, str]]]:
+    """Every triple in a bucket under each of its root keys, and the ids
+    of the always-collinear triples.
 
     One pass over the pivot fans of triple_polynomials, looked up on this
     module at call time, gives the integer polynomial of each triple that
     is collinear at some time; the generator drops the rest, which have
     no real root and are not identically zero, so an identically zero
-    polynomial still arrives. root_keys reports each, counting an
-    identically zero polynomial as an always-collinear triple and a
-    double root as tangential. Equal times have equal keys, so a bucket
+    polynomial still arrives. root_keys reports each: an identically zero
+    polynomial is an always-collinear triple, and a double root is
+    tangential. Equal times have equal keys, so a bucket
     holds every root triple at its time. An integer polynomial with the
     root a + sqrt(b) or a - sqrt(b), b a rational non-square, has both,
     so one pair bucket under (a, b), with one record per triple, holds
     every root triple at each of the two.
     """
     by_key: dict[RootKey, list[_Root]] = {}
-    always = 0
+    always = []
     for a, b, c, c2, c1, c0 in triple_polynomials(
         scene.points, skip_never_collinear=True
     ):
         keys, identically_zero, double_root = root_keys(c2, c1, c0)
-        always += identically_zero
+        if identically_zero:
+            always.append((a.id, b.id, c.id))
         for key in keys:
             by_key.setdefault(key, []).append((a, b, c, double_root))
     return by_key, always
-
-
-def _meet(key: tuple[int, int], trio: Sequence[KineticPoint]) -> bool:
-    """Whether the points of trio all coincide at the rational time
-    num/den of key: a point's position is (X*den + VX*num, Y*den + VY*num)
-    over D*den, and two of them coincide when the cross products of
-    numerators and denominators agree.
-
-    audit_bounds asks this of each one-triple rational bucket (89 in a
-    lower-bound-audit pass) in place of the positions _bucket_lines
-    builds; its one-triple branch says what that saves.
-    """
-    num, den = key
-    (x, y, vx, vy, d), *others = (pt.homogeneous for pt in trio)
-    px, py = x * den + vx * num, y * den + vy * num
-    return all(
-        (ox * den + ovx * num) * d == px * od and (oy * den + ovy * num) * d == py * od
-        for ox, oy, ovx, ovy, od in others
-    )
 
 
 def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
@@ -253,11 +220,13 @@ def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
     One triple: by completeness, a fourth point on the line of a
     bucket's one root triple would put a second root triple there, so the
     line is one event of exactly those three points, or none when they
-    coincide at a rational t. At an irrational t it is not tangential (a
-    double root, like a collision, falls at a rational time), and
-    enumerate_events builds its one shape, the sorted ids, the first two
-    of them and no flag, with no call here; audit_bounds counts every
-    one-triple bucket with none. At k_min >= 4 enumerate_events
+    all meet at t. Three points that meet at t0 make the triple
+    polynomial (t - t0)**2 * cross(u, v), u and v the velocity
+    differences, so that root is double: a one-triple bucket with a
+    simple root is one line of three members and one incidence.
+    enumerate_events builds such a bucket's one shape at an irrational t
+    (the sorted ids, the first two of them, no flag), and audit_bounds
+    counts it at any t, with no call here; at k_min >= 4 enumerate_events
     drops every one-triple bucket.
 
     Incidences: a member triple that is not always collinear is collinear
@@ -335,8 +304,7 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     before the walk over times, and listed once per time of the bucket,
     in key_times' order, so a pair key's two times share one list; a
     one-triple bucket at an irrational time is its own one shape and needs
-    no lines. The walk stamps each time onto its shape list, writing each
-    event's slots through _EVENT_SETTERS, with k = len(members). At
+    no lines. The walk stamps each time onto its shape list. At
     k_min >= 4 a one-triple bucket holds no event (see _bucket_lines) and
     is dropped before either step.
     """
@@ -346,9 +314,9 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     times = key_times([key for key, _ in kept])
     shapes = []
     for key, roots in kept:
-        # kept for random-scenes and tight-extremal, where every bucket is
-        # one irrational triple: through _bucket_lines, random-scenes'
-        # op_ref.p50 was 1.4-4.8% worse (3 alternating pairs)
+        # every bucket of random-scenes and tight-extremal is one triple
+        # at an irrational time; through _bucket_lines their op_ref.p50
+        # was 7.6% and 11.7% worse (medians of 10 alternating runs)
         if len(key) > 2 and len(roots) == 1:
             a, b, c, _ = roots[0]
             members = tuple(sorted((a.id, b.id, c.id)))
@@ -358,21 +326,11 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
         # one list per time: key_times gives a rational key (num, den) one
         # time and a pair key two, so shapes[j] serves times[j]
         shapes += [bucket_shapes] * (len(key) // 2)
-    new = object.__new__
-    set_time, set_members, set_k, set_anchors, set_tangential, set_sub = _EVENT_SETTERS
-    events: list[CollinearityEvent] = []
-    for j in time_order(times):
-        t = times[j]
-        for members, anchors, tangential, subcollision in shapes[j]:
-            e = new(CollinearityEvent)
-            set_time(e, t)
-            set_members(e, members)
-            set_k(e, len(members))
-            set_anchors(e, anchors)
-            set_tangential(e, tangential)
-            set_sub(e, subcollision)
-            events.append(e)
-    return events
+    return [
+        CollinearityEvent(times[j], members, len(members), anchors, tangential, subcollision)
+        for j in time_order(times)
+        for members, anchors, tangential, subcollision in shapes[j]
+    ]
 
 
 def count_k_collinearities(scene: Scene, k: int) -> int:
@@ -386,18 +344,9 @@ def always_collinear_groups(scene: Scene) -> list[tuple[str, ...]]:
 
     Two always-collinear triples that share a pair move on the one line
     through that pair, whose points meet at most once, so the groups are
-    the always-collinear triples joined over shared pairs.
+    the always-collinear triples of _buckets joined over shared pairs.
     """
-    # its own pass, not _buckets': reading the always-collinear triples
-    # off the buckets was 3-4 times slower on random and tight scenes
-    trios = [
-        (a.id, b.id, c.id)
-        for a, b, c, c2, c1, c0 in triple_polynomials(
-            scene.points, skip_never_collinear=True
-        )
-        if c2 == c1 == c0 == 0
-    ]
-    return sorted(tuple(sorted(ids)) for ids, _ in _components(trios))
+    return sorted(tuple(sorted(ids)) for ids, _ in _components(_buckets(scene)[1]))
 
 
 @dataclass(frozen=True)
@@ -433,10 +382,9 @@ def audit_bounds(scene: Scene, k: int) -> BoundAudit:
     The counts come from the lines of each bucket, in the one pass over
     the pivot fans that enumerate_events makes, but with no event built:
     no time, no sort, no member tuple, anchors or flags. A one-triple
-    bucket is one line of three members with one incidence (see
-    _bucket_lines), or no line when its three points meet at a rational
-    t, which their integer forms decide with no positions computed. A
-    pair bucket's lines, members and incidences count at both its times.
+    bucket with a simple root is one line of three members with one
+    incidence (see _bucket_lines). A pair bucket's lines, members and
+    incidences count at both its times.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
@@ -444,12 +392,11 @@ def audit_bounds(scene: Scene, k: int) -> BoundAudit:
     count_3 = count_k = incidences = 0
     for key, roots in buckets.items():
         times = len(key) // 2
-        # kept for lower-bound-audit: 119 of the 155 buckets of one pass
-        # hold one triple, and through _bucket_lines its op_ref.p50 was
-        # 9-12% worse (3 alternating pairs)
-        if len(roots) == 1:
-            if times == 1 and _meet(key, roots[0][:3]):
-                continue
+        # a simple root: one line of its three points (see _bucket_lines),
+        # as in 119 of the 155 buckets of a lower-bound-audit pass, whose
+        # op_ref.p50 was 18.9% worse through _bucket_lines (median of 10
+        # alternating runs)
+        if len(roots) == 1 and not roots[0][3]:
             count_3 += times
             count_k += times * (k == 3)
             incidences += times
@@ -463,7 +410,7 @@ def audit_bounds(scene: Scene, k: int) -> BoundAudit:
     bound_3 = 2 * math.comb(n, 3)
     bound_k = (2 * math.comb(n, 3)) // math.comb(k, 3)
     # a group exists exactly when some triple is always collinear
-    no_three_always = always == 0
+    no_three_always = not always
     passed = count_3 <= bound_3 and (not no_three_always or count_k <= bound_k)
     return BoundAudit(
         n=n,

@@ -473,11 +473,14 @@ class AlgebraicTime:
 
 def _json_integer(obj: dict, name: str) -> int:
     """Field name of a JSON quadratic time: an int that is not a bool, or a
-    string of decimal digits after an optional minus sign, as to_json
+    string of ASCII digits after an optional minus sign, as to_json
     writes them; ValueError naming the field for anything else, such as a
-    float, which int() would truncate to another value."""
+    float, which int() would truncate to another value, or another
+    script's digits, which int() reads too."""
     value = obj.get(name)
-    if type(value) is int or (isinstance(value, str) and value.removeprefix("-").isdecimal()):
+    if type(value) is int or (
+        isinstance(value, str) and value.isascii() and value.removeprefix("-").isdecimal()
+    ):
         return int(value)
     raise ValueError(f"quadratic time field {name!r} must be an integer, got {value!r}")
 
@@ -614,8 +617,8 @@ def root_keys(c2: int, c1: int, c0: int) -> tuple[tuple[RootKey, ...], bool, boo
 
 # AlgebraicTime's slot writers: no frozen __setattr__, no __post_init__.
 # Kept for random-scenes and tight-extremal, whose every time key_times
-# builds: with the checked constructor their op_ref.p50 was 6.2-6.7% and
-# 10.4-10.9% worse (3 alternating pairs each).
+# builds: with the checked constructor their op_ref.p50 was 5.1% and
+# 10.0% worse (medians of 10 alternating runs).
 _SLOT_SETTERS = tuple(
     getattr(AlgebraicTime, name).__set__ for name in ("p", "q", "d", "r", "_lo64", "_span64")
 )

@@ -349,8 +349,8 @@ class TestEnumerateEvents:
         ids=["random_10_1", "tight_8", "lower_bound_16_4", "sqrt2"],
     )
     def test_events_built_as_the_checked_constructor_builds_them(self, build):
-        # the walk writes each event's slots with no __post_init__; every
-        # event must equal the one the checked constructor gives
+        # every event must equal the one the checked constructor gives
+        # from its own fields
         events = enumerate_events(build())
         assert events
         for e in events:
@@ -358,19 +358,6 @@ class TestEnumerateEvents:
                 e.time, e.members, len(e.members), e.anchors, e.tangential, e.contains_subcollision
             )
             assert e == checked and type(e) is CollinearityEvent
-
-    def test_enumeration_skips_the_event_check(self, monkeypatch):
-        # enumerate_events never runs __post_init__; every other
-        # constructor, the oracle's among them, still does
-        scenes = [gen_random(10, 1), gen_tight(8), gen_lower_bound(16, 4), sqrt2_scene()]
-        want = [enumerate_events(scene) for scene in scenes]
-        monkeypatch.setattr(CollinearityEvent, "__post_init__", refuse)
-        assert [enumerate_events(scene) for scene in scenes] == want
-        with pytest.raises(AssertionError):
-            brute_force_events(sqrt2_scene())
-        e = want[0][0]
-        with pytest.raises(AssertionError):
-            CollinearityEvent(e.time, e.members, e.k, e.anchors, e.tangential, e.contains_subcollision)
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_checked_constructor_refuses_a_wrong_member_count(self, k):
@@ -647,6 +634,19 @@ class TestAuditBounds:
         assert enumerate_events(scene) == brute_force_events(scene) == []
         audit = audit_bounds(scene, 3)
         assert audit.event_count_3 == audit.triple_incidences == 0
+
+    def test_lone_double_root_triple_is_one_line(self):
+        # the triple polynomial is (t - 1)**2: at t = 1 a and c meet while
+        # b does not, so the one root triple of its bucket is a double root
+        # and still one line, tangential with a sub-collision
+        scene = make_scene(("a", (0, 0), (0, 0)), ("b", (1, -1), (0, 1)), ("c", (1, 0), (-1, 0)))
+        events = enumerate_events(scene)
+        assert events == brute_force_events(scene)
+        assert [(e.members, e.anchors, e.tangential, e.contains_subcollision) for e in events] == [
+            (("a", "b", "c"), ("a", "b"), True, True)
+        ]
+        audit = audit_bounds(scene, 3)
+        assert audit.event_count_3 == audit.triple_incidences == 1
 
     def test_no_square_reduce_call(self, monkeypatch):
         # the traced run counts calls at this module attribute

@@ -272,6 +272,8 @@ class TestAlgebraicTimeCanonicalForm:
             ("p", " 1"),
             ("q", "+1"),
             ("p", "-"),
+            ("p", "\u0661"),  # ARABIC-INDIC DIGIT ONE, read as 1 by int()
+            ("q", "\uff11"),  # FULLWIDTH DIGIT ONE
             ("r", None),
             ("d", [2]),
             ("r", "missing"),
