@@ -15,7 +15,8 @@ a -+ sqrt(b), whose two times hold the same triples. The enumeration
 path here expands no determinant and tests no discriminant.
 _bucket_lines finds a bucket's lines with their member ids, tangential
 flags and triple incidences: a rational bucket groups its triples by the
-integer key of their line, and union-find over shared pairs serves
+integer key of their line, and one ordered pass that joins each triple
+to the line of a pair it shares with an earlier one (_components) serves
 irrational buckets and always_collinear_groups.
 
 enumerate_events alone builds events: the times of the kept buckets from
@@ -113,32 +114,44 @@ _Lines = tuple[list[list], Optional[dict[str, tuple[int, int]]]]
 _Shape = tuple[tuple[str, ...], tuple[str, str], bool, bool]
 
 
-def _components(trios: Sequence[tuple[str, str, str]]) -> list[list]:
-    """Point-id triples joined through shared pairs, each component as
-    [its point ids, its triple count].
+def _components(roots: Sequence[_Root]) -> list[list]:
+    """Triples joined through shared pairs into lines, each line as
+    [its point ids, False, its triple count], the format of _bucket_lines.
 
-    Two triples with a pair in common are in one component (union-find
-    over the triples with path halving, Tarjan 1975). A pair is keyed as
-    its triple lists it, which is scene order for every caller. Every
-    triple is in one component, so no triples give none.
+    One pass in the order given: a triple (a, b, c) joins the line of the
+    first of its pairs (a, b), (a, c), (b, c) that one already has, or
+    opens a new line, and then all three pairs point to that line. The
+    records must be in combinations order of scene.points, as
+    triple_polynomials yields them and _buckets appends them. Every triple
+    is on one line, so no records give none.
+
+    The callers pass the root triples of an irrational time or the
+    always-collinear triples. In both, every pair is distinct and spans
+    one line (two distinct motions meet at most once, at a rational time,
+    and a group moves on the line of any two of its points), so no triple
+    joins a wrong line, and no two lines need merging: each triple after a
+    line's first shares a pair with an earlier triple of that line. The
+    first triple has the line's lowest point p1 as pivot. A later triple
+    (u, v, w) with u != p1 shares a pair with (p1, u, v), (p1, u, w) or
+    (p1, v, w), all earlier, and one of them is a record, for were all
+    three always collinear, (u, v, w) would be too. With u == p1 and first
+    triple (p1, a, b), a <= v, and (p1, v, w) holds (p1, a) or shares a
+    pair with (p1, a, v) or (p1, a, w), both earlier, one of them a record
+    by the same argument. (A triple collinear at t that is not always
+    collinear is a root triple of t; in a group every triple is always
+    collinear.)
     """
-    parent = list(range(len(trios)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    owner: dict[tuple[str, str], int] = {}
-    for i, (a, b, c) in enumerate(trios):
-        for pair in ((a, b), (a, c), (b, c)):
-            j = owner.setdefault(pair, i)
-            if j != i:
-                parent[root(j)] = root(i)
-    components: dict[int, list[tuple[str, str, str]]] = {}
-    for i, trio in enumerate(trios):
-        components.setdefault(root(i), []).append(trio)
-    return [[set().union(*members), len(members)] for members in components.values()]
+    lines: list[list] = []
+    line_of: dict[tuple[str, str], list] = {}
+    for a, b, c, _ in roots:
+        ab, ac, bc = (a.id, b.id), (a.id, c.id), (b.id, c.id)
+        line = line_of.get(ab) or line_of.get(ac) or line_of.get(bc)
+        if line is None:
+            lines.append(line := [set(), False, 0])
+        line[0].update((a.id, b.id, c.id))
+        line[2] += 1
+        line_of[ab] = line_of[ac] = line_of[bc] = line
+    return lines
 
 
 def _line_key(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int, int]:
@@ -151,9 +164,9 @@ def _line_key(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int, int]:
     return (dx, dy, dx * p[1] - dy * p[0])
 
 
-def _buckets(scene: Scene) -> tuple[dict[RootKey, list[_Root]], list[tuple[str, str, str]]]:
-    """Every triple in a bucket under each of its root keys, and the ids
-    of the always-collinear triples.
+def _buckets(scene: Scene) -> tuple[dict[RootKey, list[_Root]], list[_Root]]:
+    """Every triple in a bucket under each of its root keys, and the
+    always-collinear triples, each list in combinations order.
 
     One pass over the pivot fans of triple_polynomials, looked up on this
     module at call time, gives the integer polynomial of each triple that
@@ -174,7 +187,7 @@ def _buckets(scene: Scene) -> tuple[dict[RootKey, list[_Root]], list[tuple[str, 
     ):
         keys, identically_zero, double_root = root_keys(c2, c1, c0)
         if identically_zero:
-            always.append((a.id, b.id, c.id))
+            always.append((a, b, c, double_root))
         for key in keys:
             by_key.setdefault(key, []).append((a, b, c, double_root))
     return by_key, always
@@ -213,9 +226,8 @@ def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
     once, at a rational time (kinematics.collision_time), so at an
     irrational t every pair is distinct, the anchors are the first two
     members, and no members coincide. Triples sharing a pair there share
-    its line, and the completeness step, taken from triple to triple,
-    joins a line's root triples through shared pairs, so its lines are
-    the union-find components (_components) over all three pairs.
+    its line, and _components finds the lines in one pass over the root
+    triples in their order, with no two of its lines to merge.
 
     One triple: by completeness, a fourth point on the line of a
     bucket's one root triple would put a second root triple there, so the
@@ -236,13 +248,14 @@ def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
     """
     if len(key) > 2:
         # every pair is distinct at an irrational time, and no root is double
-        trios = [(a.id, b.id, c.id) for a, b, c, _ in roots]
-        return [[ids, False, count] for ids, count in _components(trios)], None
+        return _components(roots), None
     # integer positions at t = num/den over the one denominator
     # den*lcm(D), so that coincidence is tuple equality and a line has an
-    # integer key; the keys are kept for lower-bound-audit, whose large
-    # buckets are rational: union-find over shared pairs here, as at an
-    # irrational time, made one audit pass 35-40% slower
+    # integer key. _components does not serve here, as a pair can
+    # coincide at a rational t: with (p1, a, w) always collinear and v
+    # meeting p1 at t, the root triple (p1, v, w) has no distinct pair
+    # that an earlier triple has seen. Union-find over shared distinct
+    # pairs in place of the keys made a lower-bound-audit pass 35-40% slower
     num, den = key
     forms = {pt.id: pt.homogeneous for root in roots for pt in root[:3]}
     common = math.lcm(*(form[4] for form in forms.values()))
@@ -315,8 +328,9 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
     shapes = []
     for key, roots in kept:
         # every bucket of random-scenes and tight-extremal is one triple
-        # at an irrational time; through _bucket_lines their op_ref.p50
-        # was 7.6% and 11.7% worse (medians of 10 alternating runs)
+        # at an irrational time; through _bucket_lines and the one-pass
+        # _components their op_ref.p50 was 4.2% and 5.7% worse (medians
+        # of 10 alternating pairs, 0/10 better on each)
         if len(key) > 2 and len(roots) == 1:
             a, b, c, _ = roots[0]
             members = tuple(sorted((a.id, b.id, c.id)))
@@ -346,7 +360,7 @@ def always_collinear_groups(scene: Scene) -> list[tuple[str, ...]]:
     through that pair, whose points meet at most once, so the groups are
     the always-collinear triples of _buckets joined over shared pairs.
     """
-    return sorted(tuple(sorted(ids)) for ids, _ in _components(_buckets(scene)[1]))
+    return sorted(tuple(sorted(ids)) for ids, _, _ in _components(_buckets(scene)[1]))
 
 
 @dataclass(frozen=True)

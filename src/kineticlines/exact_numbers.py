@@ -464,25 +464,28 @@ class AlgebraicTime:
         if obj["kind"] == "rational":
             # "num/den" as to_json writes it; event times run far longer
             # than the scene literals parse_rational takes
-            num, _, den = str(obj["value"]).partition("/")
-            return cls.make(int(num), 0, 0, int(den or 1))
+            value = obj.get("value")
+            num, _, den = value.partition("/") if isinstance(value, str) else (None, "", "")
+            name = f"each side of '/' in rational time field 'value' {value!r}"
+            return cls.make(_json_integer(num, name), 0, 0, _json_integer(den, name))
         if obj["kind"] == "quadratic":
-            return cls.make(*(_json_integer(obj, name) for name in "pqdr"))
+            fields = (_json_integer(obj.get(f), f"quadratic time field {f!r}") for f in "pqdr")
+            return cls.make(*fields)
         raise ValueError(f"unknown time kind {obj['kind']!r}")
 
 
-def _json_integer(obj: dict, name: str) -> int:
-    """Field name of a JSON quadratic time: an int that is not a bool, or a
-    string of ASCII digits after an optional minus sign, as to_json
-    writes them; ValueError naming the field for anything else, such as a
-    float, which int() would truncate to another value, or another
-    script's digits, which int() reads too."""
-    value = obj.get(name)
+def _json_integer(value: object, name: str) -> int:
+    """The integer in value, a part of a JSON time that name describes: an
+    int that is not a bool, or a string of ASCII digits after an optional
+    minus sign, as to_json writes them; ValueError naming the part for
+    anything else, such as a float, which int() would truncate to another
+    value, or another script's digits, an underscore or spaces, which
+    int() reads too."""
     if type(value) is int or (
         isinstance(value, str) and value.isascii() and value.removeprefix("-").isdecimal()
     ):
         return int(value)
-    raise ValueError(f"quadratic time field {name!r} must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def compare_times(x: AlgebraicTime, y: AlgebraicTime) -> int:

@@ -121,7 +121,8 @@ class Scene:
                 raise SceneError(f"duplicate point id {pt.id!r}")
             by_id[pt.id] = pt
             for name, value in zip(("pos[0]", "pos[1]", "vel[0]", "vel[1]"), (*pt.pos, *pt.vel)):
-                if not isinstance(value, (int, Fraction)):
+                # a bool is an int subclass, but no coordinate
+                if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                     raise SceneError(
                         f"point {pt.id!r}: {name} is not an int or a Fraction: {value!r}"
                     )

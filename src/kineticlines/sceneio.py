@@ -48,11 +48,14 @@ def scene_to_json(scene: Scene) -> dict:
 
 def _parse_pair(entry: dict, key: str, where: str):
     raw = entry.get(key)
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise SceneError(f"{where}: {key!r} must be a pair of rational strings")
+    # json.loads has already rounded a float, and a bool is no coordinate
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2 or not all(
+        isinstance(value, str) or type(value) is int for value in raw
+    ):
+        raise SceneError(f"{where}: {key!r} must be a pair of rational strings or integers")
     try:
         return (parse_rational(raw[0]), parse_rational(raw[1]))
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise SceneError(f"{where}: bad {key!r} value: {exc}") from exc
 
 

@@ -161,6 +161,16 @@ class TestEvents:
         err = capsys.readouterr().err
         assert str(path) in err and f"limit of {RATIONAL_DIGIT_LIMIT} digits" in err
 
+    @pytest.mark.parametrize("literal", ["1e-400", "123456789012345678901234567890.0"])
+    def test_json_float_coordinate_exits_1(self, tmp_path, capsys, literal):
+        path = write_crossing_scene(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["points"][0]["pos"][0] = "float"
+        path.write_text(json.dumps(doc).replace('"float"', literal))
+        assert main(["events", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "id 'a'" in captured.err and "'pos'" in captured.err
+
     def test_non_utf8_scene_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{}")

@@ -1117,6 +1117,70 @@ class TestConjugatePairs:
         assert_conjugates_match(scene)
 
 
+def irrational_line_scene(rng):
+    """A scene of at most 10 points in shuffled order: 4-6 on one line at
+    the irrational time t = a + sqrt(b), one or two companions that move
+    on the line of two of them at every time, and 1-2 random points.
+    Returns the scene and the ids of the points on the line at t.
+
+    The line is y = m*x + c with m = m0 + m1*sqrt(b), c = c0 + c1*sqrt(b).
+    A point with rational x-motion has x(t) = X0 + X1*sqrt(b), and
+    y(t) = m*x(t) + c is Y0 + Y1*sqrt(b) with Y0 = m0*X0 + b*m1*X1 + c0
+    and Y1 = m0*X1 + m1*X0 + c1, which fixes its rational y-motion. A
+    companion's motion is an affine combination of its pair's motions.
+    """
+    b = rng.choice((2, 3, 5, 6, 7, 10))
+    a = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    m0, c0, c1 = (rng.randint(-3, 3) for _ in range(3))
+    m1 = rng.choice((-2, -1, 1, 2))
+    on_line = []
+    for _ in range(rng.randint(4, 6)):
+        x, vx = rng.randint(-5, 5), rng.randint(-3, 3)
+        x0, x1 = x + a * vx, vx
+        vy = m0 * x1 + m1 * x0 + c1
+        on_line.append(((x, m0 * x0 + b * m1 * x1 + c0 - a * vy), (vx, vy)))
+    first, second = on_line[:2]
+    weights = (Fraction(-1), Fraction(1, 2), Fraction(3, 2), Fraction(2))
+    for lam in rng.sample(weights, rng.randint(1, 2)):
+        on_line.append(
+            tuple(
+                tuple((1 - lam) * u + lam * w for u, w in zip(one, other))
+                for one, other in zip(first, second)
+            )
+        )
+    motions = on_line + [
+        ((rng.randint(-5, 5), rng.randint(-5, 5)), (rng.randint(-5, 5), rng.randint(-5, 5)))
+        for _ in range(rng.randint(1, 2))
+    ]
+    motions = list(dict.fromkeys(motions))
+    rng.shuffle(motions)
+    scene = make_scene(*((f"p{i}", pos, vel) for i, (pos, vel) in enumerate(motions)))
+    return scene, {f"p{i}" for i, motion in enumerate(motions) if motion in on_line}
+
+
+class TestIrrationalLineScenes:
+    # lines of several root triples at an irrational time, which arrive
+    # apart from one another in scene order
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_oracle(self, seed):
+        scene, line = irrational_line_scene(random.Random(seed))
+        events = enumerate_events(scene)
+        assert any(e.time.q and line <= set(e.members) for e in events)
+        oracle = brute_force_events(scene, max_points=len(scene))
+        assert serialized(events) == serialized(oracle)
+        audit = audit_bounds(scene, 3)
+        assert audit.event_count_3 == len(oracle)
+        assert audit_bounds(scene, 4).event_count == sum(e.k >= 4 for e in oracle)
+        # two distinct motions move on one line, so an always-collinear
+        # triple's group is every point always collinear with its first two
+        groups = {
+            tuple(sorted(x.id for x in scene.points if not any(_bf_poly(u, v, x))))
+            for u, v, w in combinations(scene.points, 3)
+            if not any(_bf_poly(u, v, w))
+        }
+        assert always_collinear_groups(scene) == sorted(groups)
+
+
 def assert_filtered_stream(points):
     """With skip_never_collinear, triple_polynomials yields exactly the
     triples of the full stream that are collinear at some time, in its

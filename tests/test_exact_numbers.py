@@ -287,6 +287,27 @@ class TestAlgebraicTimeCanonicalForm:
         with pytest.raises(ValueError, match=f"quadratic time field '{field}' must be an integer"):
             AlgebraicTime.from_json(obj)
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "1_0/3",  # read as 10/3 by int()
+            "1/",
+            " 7 / 2",
+            "\u0661/2",  # ARABIC-INDIC DIGIT ONE, read as 1 by int()
+            "1/2/3",
+            "3",
+            7,
+            None,
+            "missing",
+        ],
+    )
+    def test_json_rational_value_must_be_num_over_den(self, value):
+        obj = {"kind": "rational", "value": value}
+        if value == "missing":
+            del obj["value"]
+        with pytest.raises(ValueError, match="rational time field 'value'"):
+            AlgebraicTime.from_json(obj)
+
     def test_json_quadratic_integers_and_digit_strings(self):
         # to_json writes p, q and r as strings and d as an int; either form
         # is read, with a minus sign on the string

@@ -49,11 +49,18 @@ class TestSceneValidation:
 
     @pytest.mark.parametrize(
         "pos, vel, name",
-        [((0.5, 0), (1, 1), "pos[0]"), ((0, 0), (1, "1"), "vel[1]"), ((0, None), (1, 1), "pos[1]")],
+        [
+            ((0.5, 0), (1, 1), "pos[0]"),
+            ((0, 0), (1, "1"), "vel[1]"),
+            ((0, None), (1, 1), "pos[1]"),
+            ((True, 0), (1, 1), "pos[0]"),
+            ((0, 0), (1, False), "vel[1]"),
+        ],
     )
     def test_coordinate_must_be_rational(self, pos, vel, name):
         # a float or a string is refused by name, as a coordinate over the
-        # digit limit is, not with an AttributeError from the limit check
+        # digit limit is, not with an AttributeError from the limit check;
+        # so is a bool, though it is an int subclass
         message = re.escape(f"point 'a': {name} is not an int or a Fraction")
         with pytest.raises(SceneError, match=message):
             Scene((KineticPoint("a", pos, vel),))

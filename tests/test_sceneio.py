@@ -141,6 +141,28 @@ class TestDiagnostics:
             with pytest.raises(SceneError, match=r"id 'a'.*'vel'.*limit"):
                 scene_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "literal", ["1e-400", "123456789012345678901234567890.0", "true"]
+    )
+    def test_json_number_that_is_not_an_integer_is_refused(self, tmp_path, literal):
+        # json.loads reads 1e-400 as 0.0 and the long float rounded; a
+        # scene file holds exact rationals only
+        path = tmp_path / "scene.json"
+        path.write_text(
+            '{"version": 1, "points": [{"id": "a", "pos": [%s, "0"], "vel": ["1", "0"]}]}'
+            % literal
+        )
+        with pytest.raises(SceneError, match=r"id 'a'.*'pos' must be a pair of rational strings"):
+            load_scene(path)
+
+    def test_json_integer_is_read_exactly(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(
+            '{"version": 1, "points": [{"id": "a", "pos": [%d, "0"], "vel": [-3, "1/2"]}]}'
+            % 10**40
+        )
+        assert load_scene(path).point("a").pos[0] == 10**40
+
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe{}")
