@@ -637,9 +637,9 @@ def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
     b_num*b_den = m*m*d. This is the one place an irrational time's
     radicand is reduced and its canonical form built; AlgebraicTime.make
     comes here with its value's pair key. One square_reduce_all call
-    reduces the batch's distinct radicands; then
-    a pair takes one gcd(p, q, r) and one isqrt(d << 128), and each key
-    one _intervals call, which gives both roots of a pair the bounds that
+    reduces the batch's distinct radicands; then a pair takes one
+    gcd(b_den, m*a_den) and one isqrt(d << 128), and each key one
+    _intervals call, which gives both roots of a pair the bounds that
     _bounds(64) computes. These forms are canonical by construction (see
     AlgebraicTime) and are not checked again.
     """
@@ -654,9 +654,12 @@ def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
         else:
             a_num, a_den, b_num, b_den = key
             m, d = reduced[b_num * b_den]
-            p, q, r = a_num * b_den, m * a_den, a_den * b_den
-            g = math.gcd(p, q, r)
-            p, q, r = p // g, q // g, r // g
+            # root_keys and make build keys in lowest terms, so
+            # gcd(a_num, a_den) = 1 and the gcd of a_num*b_den, m*a_den
+            # and a_den*b_den is gcd(b_den, m*a_den)
+            g = math.gcd(b_den, m * a_den)
+            e = b_den // g
+            p, q, r = a_num * e, m * a_den // g, a_den * e
             root = math.isqrt(d << 128)
             signed = (-q, q)
         # a rational key takes the first of the two equal intervals

@@ -10,23 +10,28 @@ Classification runs on integers. Each point carries a homogeneous form
 common denominator of its four coordinates, computed once per point.
 triple_polynomials expands the determinant over these integers in pivot
 fans: for each pivot a, the difference b - a to each later point is
-computed once, over D_a*D_b, and a triple (a, b, c) is six products of
-two stored differences. That is D_a**2*D_b*D_c times the rational
-determinant, a positive multiple, so its roots and signs are the same,
-and the event pipeline keys them with root_keys without building a
-Fraction. It is the one place the triple determinant is expanded, and
-the one place its discriminant is tested: the event pipeline asks it to
-drop the triples that are never collinear, and gets no tuple for them.
+computed once, over D_a*D_b, as the four-integer entry (x0, x1, y0, y1),
+and a triple (a, b, c) is six products of two stored differences. That
+is D_a**2*D_b*D_c times the rational determinant, a positive multiple,
+so its roots and signs are the same, and the event pipeline keys them
+with root_keys without building a Fraction. It is the one place the
+triple determinant is expanded, and the one place its discriminant is
+tested: the event pipeline asks it to drop the triples that are never
+collinear, and gets no tuple for them.
 
-Most of a never-collinear scene is dropped a whole pivot fan at a time.
-The difference u(t) = u0 + t*u1 turns about the pivot with sense
-K_u = cross(u0, u1), and a pair's discriminant is the integer identity
-(cross(u0, v1) - cross(u1, v0))**2 - 4*K_u*K_v. When every K has one
-strict sign, the fan is sorted by direction at t = 0, exactly, by
-integer keys at resolution 2**-S with S = 2*max bit_length(y) + 2,
-which separates any two distinct directions, and only its m cyclically
-adjacent pairs are tested: as in a kinetic sorted order (Basch, Guibas
-and Hershberger 1999), the first pair to meet is a pair of neighbours.
+Most of a never-collinear scene is dropped a whole pivot fan at a time,
+by one flat pass over the fan's entries. The difference u(t) = u0 + t*u1
+turns about the pivot with sense K_u = cross(u0, u1), and a pair's
+discriminant is the integer identity
+(cross(u0, v1) - cross(u1, v0))**2 - 4*K_u*K_v. The pass tests the
+first pair's discriminant, then the senses, which must share one strict
+sign, then sorts the fan by direction at t = 0, exactly, by integer keys
+at resolution 2**-S with S = 2*max bit_length(y) + 2, which separates
+any two distinct directions, and tests only its m cyclically adjacent
+pairs: as in a kinetic sorted order (Basch, Guibas and Hershberger
+1999), the first pair to meet is a pair of neighbours. Only a fan that
+fails goes on to the triple loop, and only then are its entries
+extended to 7-tuples with the point and the sums x0 + x1 and y0 + y1.
 So a scene with no collinearity, such as the circle families, costs
 about n**2 log n instead of n**3/6 triple expansions.
 
@@ -168,29 +173,34 @@ def triple_polynomials(
     polynomial is identically zero, which the event pipeline counts.
 
     For each pivot a, the linear-in-t difference b - a to each later point
-    b is kept as integers (x0, x1, y0, y1) over D_a*D_b, with the sums
-    x0 + x1 and y0 + y1, so the O(n**2) differences are computed once. A
-    triple's differences u and v give c2 = cross(u1, v1), c0 =
-    cross(u0, v0) and c1 = cross(u0 + u1, v0 + v1) - c2 - c0: six
-    products, and the degree never exceeds 2.
+    b is computed once, as the entry (x0, x1, y0, y1) of integers over
+    D_a*D_b. With skip_never_collinear, the pivot's fan of m entries goes
+    first to _fan_never_collinear, which certifies in about m log m work
+    that no two entries are ever collinear with the pivot; a certified
+    pivot yields nothing and its C(m, 2) triples are never expanded.
 
-    A negative discriminant means no real root, and a nonzero constant
-    none either, so such a triple is never collinear and is skipped here,
-    before a tuple is built. Before its triples, each pivot's whole fan is
-    offered to _fan_never_collinear, which certifies in about m log m
-    work that no two of its m entries are ever collinear with the pivot;
-    a certified pivot yields nothing and its C(m, 2) triples are never
-    expanded.
+    Only a fan that reaches the triple loop is extended to the 7-tuples
+    (b, x0, x1, y0, y1, x0 + x1, y0 + y1). A triple's entries u and v give
+    c2 = cross(u1, v1), c0 = cross(u0, v0) and c1 = cross(u0 + u1,
+    v0 + v1) - c2 - c0: six products, and the degree never exceeds 2. A
+    negative discriminant means no real root, and a nonzero constant none
+    either, so such a triple is skipped before a tuple is built.
     """
-    forms = [(pt, pt.homogeneous) for pt in points]
-    for i, (a, (ax, ay, avx, avy, ad)) in enumerate(forms):
-        fan = []
-        for b, (bx, by, bvx, bvy, bd) in forms[i + 1 :]:
-            x0, x1 = bx * ad - ax * bd, bvx * ad - avx * bd
-            y0, y1 = by * ad - ay * bd, bvy * ad - avy * bd
-            fan.append((b, x0, x1, y0, y1, x0 + x1, y0 + y1))
-        if skip_never_collinear and len(fan) > 1 and _fan_never_collinear(fan):
+    forms = [pt.homogeneous for pt in points]
+    for i, (ax, ay, avx, avy, ad) in enumerate(forms):
+        # loops, not comprehensions: a comprehension here closes over the
+        # pivot's integers and costs about 0.4 us per fan, which fans that
+        # fail the certificate pay twice (lower-bound-audit: every fan)
+        entries = []
+        for bx, by, bvx, bvy, bd in forms[i + 1 :]:
+            entries.append(
+                (bx * ad - ax * bd, bvx * ad - avx * bd, by * ad - ay * bd, bvy * ad - avy * bd)
+            )
+        if skip_never_collinear and len(entries) > 1 and _fan_never_collinear(entries):
             continue
+        a, fan = points[i], []
+        for b, (x0, x1, y0, y1) in zip(points[i + 1 :], entries):
+            fan.append((b, x0, x1, y0, y1, x0 + x1, y0 + y1))
         for j, (b, ux0, ux1, uy0, uy1, uxs, uys) in enumerate(fan):
             for c, vx0, vx1, vy0, vy1, vxs, vys in fan[j + 1 :]:
                 c2 = ux1 * vy1 - uy1 * vx1
@@ -203,81 +213,69 @@ def triple_polynomials(
                 yield (a, b, c, c2, c1, c0)
 
 
-def _aligns(u: tuple, v: tuple) -> bool:
-    """Whether the fan entries u and v may be collinear with their pivot
-    at some time: the triple's discriminant c1**2 - 4*c2*c0 is
-    nonnegative, from the same six products as triple_polynomials."""
-    _, ux0, ux1, uy0, uy1, uxs, uys = u
-    _, vx0, vx1, vy0, vy1, vxs, vys = v
-    c2 = ux1 * vy1 - uy1 * vx1
-    c0 = ux0 * vy0 - uy0 * vx0
-    c1 = uxs * vys - uys * vxs - c2 - c0
-    return c1 * c1 >= 4 * c2 * c0
-
-
-def _fan_never_collinear(fan: Sequence[tuple]) -> bool:
-    """True only if no two entries of a pivot fan (at least two) are ever
-    collinear with the pivot; False when that is not certified.
+def _fan_never_collinear(fan: list[tuple[int, int, int, int]]) -> bool:
+    """True only if no two entries (x0, x1, y0, y1) of a pivot fan (at
+    least two) are ever collinear with the pivot; False when that is not
+    certified.
 
     An entry u(t) = u0 + t*u1 turns about the pivot with sense
     K_u = cross(u0, u1), since its angle has derivative K_u/|u(t)|**2.
-    A pair's discriminant is the integer identity
-    c1**2 - 4*c2*c0 = (cross(u0, v1) - cross(u1, v0))**2 - 4*K_u*K_v,
-    so a pair is never collinear only if K_u*K_v > 0. A fan whose first
-    two entries align is not certified, nor one with a K whose product
-    with the first entry's K is not positive: these two tests send most
-    fans that hold a collinear pair to the triple loop before any sort.
+    A pair's discriminant c1**2 - 4*c2*c0 is the integer identity
+    (cross(u0, v1) - cross(u1, v0))**2 - 4*K_u*K_v, so a pair is never
+    collinear only if K_u*K_v > 0. One flat pass, each pair test inline,
+    in this order: the first pair's discriminant, so that most fans with
+    a collinear pair leave before any other work; the senses, which must
+    share one strict sign; then the m cyclically adjacent pairs of
+    _angular_order's ring, the wrap pair (last, first) included.
 
-    Otherwise no u(t) is ever zero, so each entry's direction moves
-    continuously on the circle of directions mod pi, and two entries are
-    collinear with the pivot exactly when their directions meet. The fan
-    is sorted by direction at t = 0 and only its m cyclically adjacent
-    pairs, the wrap pair (last, first) included, are tested. Take the
-    earliest t > 0 at which some pair meets: until then the cyclic order
-    is the one at t = 0, and the entries inside the closing arc meet its
-    ends at that t too, so an adjacent pair meets there; the same holds
-    for t < 0. Directions equal at t = 0 sort next to each other, and a
-    double root has a zero discriminant, so both fail the test. This is
-    the neighbour argument of kinetic sorted orders (Basch, Guibas and
-    Hershberger 1999): the first swap is always between neighbours.
-
-    The order is _angular_order's; two horizontal entries are a tie, so
-    the fan is not certified.
+    Once every K has one strict sign, no u(t) is ever zero, so each
+    entry's direction moves continuously on the circle of directions mod
+    pi, and two entries are collinear with the pivot exactly when their
+    directions meet. Take the earliest t > 0 at which some pair meets:
+    until then the cyclic order is the one at t = 0, and the entries
+    inside the closing arc meet its ends at that t too, so an adjacent
+    pair meets there; the same holds for t < 0. Directions equal at t = 0
+    sort next to each other, and a double root has a zero discriminant,
+    so both fail the test. This is the neighbour argument of kinetic
+    sorted orders (Basch, Guibas and Hershberger 1999): the first swap is
+    always between neighbours. Two horizontal entries are a tie, so the
+    fan is not certified.
     """
-    if _aligns(fan[0], fan[1]):
+    (ux0, ux1, uy0, uy1), (vx0, vx1, vy0, vy1) = fan[:2]
+    cross = ux0 * vy1 - uy0 * vx1 - ux1 * vy0 + uy1 * vx0
+    if cross * cross >= 4 * (ux0 * uy1 - uy0 * ux1) * (vx0 * vy1 - vy0 * vx1):
         return False
-    _, x0, x1, y0, y1, _, _ = fan[0]
-    sense = x0 * y1 - y0 * x1
-    for _, x0, x1, y0, y1, _, _ in fan:
-        if (x0 * y1 - y0 * x1) * sense <= 0:
+    senses = [x0 * y1 - y0 * x1 for x0, x1, y0, y1 in fan]
+    if min(senses) <= 0 <= max(senses) or (ring := _angular_order(fan)) is None:
+        return False
+    j = ring[-1]
+    for k in ring:
+        (ux0, ux1, uy0, uy1), (vx0, vx1, vy0, vy1) = fan[j], fan[k]
+        cross = ux0 * vy1 - uy0 * vx1 - ux1 * vy0 + uy1 * vx0
+        if cross * cross >= 4 * senses[j] * senses[k]:
             return False
-    ring = _angular_order(fan)
-    return ring is not None and not any(
-        _aligns(fan[j], fan[k]) for j, k in zip(ring, ring[1:] + ring[:1])
-    )
+        j = k
+    return True
 
 
-def _angular_order(fan: Sequence[tuple]) -> Optional[list[int]]:
-    """Indices of the fan entries in the order of their directions u0 at
-    t = 0, mod pi, ties in index order; None when two entries are
-    horizontal.
+def _angular_order(fan: list[tuple[int, int, int, int]]) -> Optional[list[int]]:
+    """Indices of the fan entries (x0, x1, y0, y1) in the order of their
+    directions u0 = (x0, y0) at t = 0, mod pi, ties in index order; None
+    when two entries are horizontal.
 
-    The order is exact and integer. Each u0 is taken into y > 0, or y = 0
-    with x > 0, where its angle is in [0, pi): a horizontal entry goes
-    first, and the rest sort by the key floor(-x/y * 2**S), with
-    S = 2*max bit_length(y) + 2. Two distinct directions have cotangents
-    at least 1/(y1*y2) > 2**-S apart, so their keys differ, and equal
-    directions get equal keys.
+    The order is exact. With u0 taken into y > 0, or y = 0 with x > 0,
+    its angle is in [0, pi): a horizontal entry goes first (its key is
+    -inf, the one non-integer), and the rest sort by the integer key
+    floor(-x0/y0 * 2**S), which is the same for u0 and -u0, with
+    S = 2*max bit_length(y0) + 2. Two distinct directions (x, y) and
+    (x', y') have cotangents at least 1/|y*y'| > 2**-S apart, so their
+    keys differ, and equal directions get equal keys.
     """
-    flat = [j for j, entry in enumerate(fan) if not entry[3]]
-    if len(flat) > 1:
+    shift = 2 * max([abs(y0) for _, _, y0, _ in fan]).bit_length() + 2
+    keys = [(-x0 << shift) // y0 if y0 else -math.inf for x0, _, y0, _ in fan]
+    if keys.count(-math.inf) > 1:
         return None
-    shift = 2 * max(abs(entry[3]).bit_length() for entry in fan) + 2
-    keys = [
-        ((x0 if y0 < 0 else -x0) << shift) // abs(y0) if y0 else 0
-        for _, x0, _, y0, _, _, _ in fan
-    ]
-    return flat + sorted((j for j in range(len(fan)) if fan[j][3]), key=keys.__getitem__)
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def collinearity_polynomial(

@@ -43,6 +43,7 @@ from kineticlines import (
     solve_quadratic,
 )
 from kineticlines.events import _bf_poly, _bucket_lines, _event_shapes, _line_key
+from kineticlines.exact_numbers import RATIONAL_DIGIT_LIMIT
 from kineticlines.kinematics import _angular_order, triple_polynomials
 
 from conftest import coords, kinetic_grid, make_scene, parameter_cube, serialized
@@ -1259,7 +1260,7 @@ def cross_order(fan):
     """The fan's indices ordered by the direction of u0 mod pi with an
     exact cross-product comparator, ties in index order."""
     def upper(entry):
-        x, y = entry[1], entry[3]
+        x, y = entry[0], entry[2]
         return (-x, -y) if y < 0 or (y == 0 and x < 0) else (x, y)
 
     def compare(i, j):
@@ -1270,14 +1271,19 @@ def cross_order(fan):
     return sorted(range(len(fan)), key=cmp_to_key(compare))
 
 
+# the largest integer coordinate a scene admits has this many bits
+DIGIT_LIMIT_BITS = (10**RATIONAL_DIGIT_LIMIT).bit_length() - 1
+
+
 @st.composite
-def near_parallel_fans(draw):
-    """Fan entries whose directions u0 at t = 0 are 40-bit vectors within
-    about 2**-80 of one another, from a primitive (x, y) and its Farey
-    neighbour (x', y'), x'*y - y'*x = 1: their sums x + j*x' and
-    multiples, either sign, and at most two horizontal entries."""
-    y = draw(st.integers(2**39, 2**40 - 1))
-    x = draw(st.integers(-(2**40), 2**40).filter(lambda x: math.gcd(x, y) == 1))
+def near_parallel_fans(draw, bits=40):
+    """Fan entries (x0, x1, y0, y1) whose directions u0 at t = 0 are
+    bits-bit vectors within about 2**(-2*bits) of one another, from a
+    primitive (x, y) and its Farey neighbour (x', y'), x'*y - y'*x = 1:
+    their sums x + j*x' and multiples, either sign, and at most two
+    horizontal entries."""
+    y = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    x = draw(st.integers(-(2**bits), 2**bits).filter(lambda x: math.gcd(x, y) == 1))
     ny = -pow(x, -1, y) % y
     nx = (1 + ny * x) // y
     steps = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=12))
@@ -1287,7 +1293,59 @@ def near_parallel_fans(draw):
         directions.append((scale * (x + j * nx), scale * (y + j * ny)))
     directions += draw(st.lists(st.sampled_from([(1, 0), (-5, 0)]), max_size=2))
     order = draw(st.permutations(directions))
-    return [(None, dx, 0, dy, 0, dx, dy) for dx, dy in order]
+    return [(dx, 0, dy, 0) for dx, dy in order]
+
+
+def first_fan_verdict(scene, monkeypatch):
+    """The certificate's verdict on the scene's first pivot fan, and the
+    list of what _angular_order returned while it ran: empty when the fan
+    left before it was sorted."""
+    kinematics = kineticlines.kinematics
+    certify, order = kinematics._fan_never_collinear, kinematics._angular_order
+    rings, verdicts = [], []
+
+    def recording_order(fan):
+        rings.append(order(fan))
+        return rings[-1]
+
+    def recording_certify(fan):
+        verdicts.append((certify(fan), rings[:]))
+        rings.clear()
+        return verdicts[-1][0]
+
+    monkeypatch.setattr(kinematics, "_angular_order", recording_order)
+    monkeypatch.setattr(kinematics, "_fan_never_collinear", recording_certify)
+    list(triple_polynomials(scene.points, skip_never_collinear=True))
+    monkeypatch.undo()
+    return verdicts[0]
+
+
+# one pivot fan per exit of the certificate: the rows (x, y, vx, vy) of
+# the points around a pivot at rest at the origin, so each row is its
+# entry's u0 and u1, and the exit the fan takes
+FAN_EXITS = {
+    # all three turn the same way, yet (1, t) and (1, 1 + 3t) are collinear
+    # with the origin at t = -1/2
+    "first_pair_aligns": ([(1, 0, 0, 1), (1, 1, 0, 3), (0, 1, -1, 0)], "first pair"),
+    # the first two turn the same way and never align; the third then
+    # has u0 parallel to u1, moves on a fixed line, and has zero sense
+    "parallel_u0_u1": ([(1, 0, 0, 1), (0, 1, -1, 0), (1, 1, 2, 2)], "sense"),
+    # the third meets the pivot at t = 0: u0 = 0 and zero sense
+    "meets_pivot_at_0": ([(1, 0, 0, 1), (0, 1, -1, 0), (0, 0, 1, 2)], "sense"),
+    "opposite_senses": ([(1, 0, 0, 1), (0, 1, -1, 0), (1, 1, 1, -1)], "sense"),
+    # (1, t) and (-2, -t) both lie on y = 0 at t = 0
+    "two_horizontal": ([(1, 0, 0, 1), (0, 1, -1, 0), (-2, 0, 0, -1)], "unsorted"),
+    # the one aligning pair holds the horizontal entry, so it is found
+    # only if that entry leads the ring
+    "one_horizontal": (
+        [(1, 0, 0, 1), (0, 1, -1, 0), (3, -3, -2, 3), (-2, -2, 3, -2)],
+        "horizontal pair",
+    ),
+    "wrap_pair_only": (
+        [(1, 1, 0, 1), (-1, 1, -1, 0), (0, 2, -2, 1), (-3, 1, 0, -2)],
+        "wrap pair",
+    ),
+}
 
 
 class TestFanCertificate:
@@ -1313,36 +1371,116 @@ class TestFanCertificate:
         assert serialized(events) == serialized(brute_force_events(scene))
         assert assert_filtered_stream(scene.points)
 
-    @given(near_parallel_fans())
-    @settings(max_examples=200, deadline=None)
-    def test_angular_order_is_exact(self, fan):
-        horizontal = sum(1 for entry in fan if entry[3] == 0)
+    @pytest.mark.parametrize("name", FAN_EXITS)
+    def test_each_exit_keeps_the_stream(self, name, monkeypatch):
+        rows, exit = FAN_EXITS[name]
+        scene = make_scene(
+            ("o", (0, 0), (0, 0)),
+            *((f"p{i}", (x, y), (vx, vy)) for i, (x, y, vx, vy) in enumerate(rows)),
+        )
+        # the pivot's pair (j, k) aligns when its triple's discriminant is
+        # nonnegative
+        aligns = {
+            frozenset((j, k)): c1 * c1 >= 4 * c2 * c0
+            for ((j, _), (k, _)), (*_, c2, c1, c0) in zip(
+                combinations(enumerate(rows), 2), triple_polynomials(scene.points)
+            )
+        }
+        senses = [x * vy - y * vx for x, y, vx, vy in rows]
+        verdict, rings = first_fan_verdict(scene, monkeypatch)
+        assert not verdict
+        assert aligns[frozenset((0, 1))] == (exit == "first pair")
+        if exit in ("first pair", "sense"):
+            assert rings == []
+        else:
+            assert min(senses) > 0 or max(senses) < 0
+        if exit == "sense":
+            assert min(senses) <= 0 <= max(senses)
+        elif exit == "unsorted":
+            assert rings == [None]
+        elif exit != "first pair":
+            ((*ring,),) = rings
+            pairs = [frozenset(pair) for pair in zip(ring[-1:] + ring, ring)]
+            aligning = [pair for pair in pairs if aligns[pair]]
+            if exit == "wrap pair":
+                assert aligning == [pairs[0]]
+            else:
+                assert [row[1] for row in rows].count(0) == 1 and rows[ring[0]][1] == 0
+                assert aligning and all(ring[0] in pair for pair in aligning)
+        assert assert_filtered_stream(scene.points)
+        assert serialized(enumerate_events(scene)) == serialized(brute_force_events(scene))
+
+    @staticmethod
+    def assert_exact_order(fan):
+        horizontal = sum(1 for entry in fan if entry[2] == 0)
         expected = None if horizontal > 1 else cross_order(fan)
         assert _angular_order(fan) == expected
 
+    @given(near_parallel_fans())
+    @settings(max_examples=200, deadline=None)
+    def test_angular_order_is_exact(self, fan):
+        self.assert_exact_order(fan)
+
+    @given(near_parallel_fans(bits=DIGIT_LIMIT_BITS))
+    @settings(max_examples=100, deadline=None)
+    def test_angular_order_is_exact_at_the_digit_limit(self, fan):
+        # the keys' shift at its largest: 2**-S below the cotangent gap
+        # of two 212-bit directions
+        self.assert_exact_order(fan)
+
     @pytest.mark.parametrize("build", [gen_no_collinearity, gen_no_collinearity_distinct])
     def test_circle_families_certify_every_pivot(self, build, monkeypatch):
-        checks, fans = [0], []
         kinematics = kineticlines.kinematics
-        aligns, certify = kinematics._aligns, kinematics._fan_never_collinear
+        certify, order = kinematics._fan_never_collinear, kinematics._angular_order
+        tested, rings, fans = set(), [], []
 
-        def counting_aligns(u, v):
-            checks[0] += 1
-            return aligns(u, v)
+        class Coordinate(int):
+            """A coordinate of fan entry `entry`; a product of two entries'
+            coordinates is part of an exact test of that pair."""
+
+            def __mul__(self, other):
+                if isinstance(other, Coordinate) and other.entry != self.entry:
+                    tested.add(frozenset((self.entry, other.entry)))
+                return int(self) * int(other)
+
+            __rmul__ = __mul__
+
+        def tagged(j, value):
+            coordinate = Coordinate(value)
+            coordinate.entry = j
+            return coordinate
+
+        def recording_order(fan):
+            rings.append(order(fan))
+            return rings[-1]
 
         def recording_certify(fan):
-            checks[0] = 0
-            fans.append((len(fan), certify(fan), checks[0]))
-            return fans[-1][1]
+            tested.clear()
+            rings.clear()
+            certified = certify([tuple(tagged(j, v) for v in entry) for j, entry in enumerate(fan)])
+            fans.append((fan, certified, set(tested), rings[:]))
+            return certified
 
-        monkeypatch.setattr(kinematics, "_aligns", counting_aligns)
+        monkeypatch.setattr(kinematics, "_angular_order", recording_order)
         monkeypatch.setattr(kinematics, "_fan_never_collinear", recording_certify)
         n = 60
         assert list(triple_polynomials(build(n).points, skip_never_collinear=True)) == []
-        assert [m for m, _, _ in fans] == list(range(n - 1, 1, -1))
-        for m, certified, pair_checks in fans:
+        assert [len(fan) for fan, _, _, _ in fans] == list(range(n - 1, 1, -1))
+        for fan, certified, pairs, (ring,) in fans:
+            m = len(fan)
             assert certified
-            assert pair_checks <= m + 1
+            assert sorted(ring) == list(range(m))
+            neighbours = {frozenset(pair) for pair in zip(ring[-1:] + ring, ring)}
+            # the first pair, then the m neighbours of the ring, each pair
+            # recomputed here with a negative discriminant
+            assert pairs == neighbours | {frozenset((0, 1))}
+            assert len(pairs) <= m + 1
+            for j, k in map(sorted, pairs):
+                (ux0, ux1, uy0, uy1), (vx0, vx1, vy0, vy1) = fan[j], fan[k]
+                c2 = ux1 * vy1 - uy1 * vx1
+                c0 = ux0 * vy0 - uy0 * vx0
+                c1 = (ux0 + ux1) * (vy0 + vy1) - (uy0 + uy1) * (vx0 + vx1) - c2 - c0
+                assert c1 * c1 < 4 * c2 * c0
 
 
 def moved(scene, pos_of, vel_of, id_of=lambda pid: pid):
