@@ -127,6 +127,9 @@ def _square_root(n: int) -> int:
     that rejects about 95% of non-squares before the isqrt (Cohen 1993,
     Algorithm 1.7.3), which pays where n spans several machine words.
     """
+    # with a plain isqrt test a tight-extremal pass took 3.9% longer, and
+    # a random-scenes pass, whose radicands are shorter, 1.4% less
+    # (medians of 60 paired in-process passes)
     if _SQ63 >> n % 63 & 1 and _SQ65 >> n % 65 & 1 and _SQ11 >> n % 11 & 1:
         root = math.isqrt(n)
         if root * root == n:
@@ -134,6 +137,8 @@ def _square_root(n: int) -> int:
     return -1
 
 
+# cached: one build takes 0.64 ms (timeit, best of 5), which at its two
+# square_reduce_all calls would be about 19% of a tight-extremal pass
 @lru_cache(maxsize=None)
 def _primorial() -> int:
     """The product of the primes up to SQUAREFREE_TRIAL_BOUND."""
@@ -201,6 +206,9 @@ def _primorial_gcds(ns: Sequence[int]) -> list[int]:
     for the group's product x, then each node's remainder reduced modulo
     its two children, down to P % n at the leaves, and gcd(n, P % n).
     """
+    # a direct gcd(n, P % n) per n made a random-scenes pass 12.5% and a
+    # tight-extremal pass 12.9% slower (medians of 60 paired in-process
+    # passes)
     primorial = _primorial()
     limit = primorial.bit_length()
     gcds: list[int] = []
@@ -287,8 +295,11 @@ class AlgebraicTime:
     # lo and hi - lo of the value's 64-bit bounds, as _bounds(64) gives
     # them: key_times sets both, from its key's one _intervals call, and
     # every other constructor neither; time_order sorts by lo, approx
-    # reads both. Kept for random-scenes: without them, approx over one
-    # pass's 1,574 times took 5.0 ms in place of 1.3 ms.
+    # reads both. Without them a random-scenes pass took 6.3% longer and
+    # a tight-extremal pass 4.2% (medians of 60 paired in-process
+    # passes). One (lo, hi) tuple in their place was 1-2% faster, but
+    # raised random-scenes' peak_rss_mb from 25.48 to 26.09 MiB
+    # (bench/run.py --seconds 4, two runs per side).
     _lo64: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     _span64: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -637,14 +648,16 @@ def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
     b_num*b_den = m*m*d. This is the one place an irrational time's
     radicand is reduced and its canonical form built; AlgebraicTime.make
     comes here with its value's pair key. One square_reduce_all call
-    reduces the batch's distinct radicands; then a pair takes one
+    reduces each pair key's b_num*b_den, in key order, with no dedupe: two
+    keys may share one, as 1 + sqrt(2) and 3 + sqrt(2) do, but no batch of
+    a bench workload at seeds 1-3, of gen_random(40, 3) (7,846 pair keys)
+    or of gen_tight(20) (1,140) repeats one. Then a pair takes one
     gcd(b_den, m*a_den) and one isqrt(d << 128), and each key one
     _intervals call, which gives both roots of a pair the bounds that
     _bounds(64) computes. These forms are canonical by construction (see
     AlgebraicTime) and are not checked again.
     """
-    radicands = dict.fromkeys(key[2] * key[3] for key in keys if len(key) == 4)
-    reduced = dict(zip(radicands, square_reduce_all(list(radicands))))
+    reduced = iter(square_reduce_all([key[2] * key[3] for key in keys if len(key) == 4]))
     new = object.__new__
     set_p, set_q, set_d, set_r, set_lo, set_span = _SLOT_SETTERS
     times = []
@@ -653,7 +666,7 @@ def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
             (p, r), q, d, root, signed = key, 0, 0, 0, (0,)
         else:
             a_num, a_den, b_num, b_den = key
-            m, d = reduced[b_num * b_den]
+            m, d = next(reduced)
             # root_keys and make build keys in lowest terms, so
             # gcd(a_num, a_den) = 1 and the gcd of a_num*b_den, m*a_den
             # and a_den*b_den is gcd(b_den, m*a_den)

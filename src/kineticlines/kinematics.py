@@ -15,9 +15,11 @@ and a triple (a, b, c) is six products of two stored differences. That
 is D_a**2*D_b*D_c times the rational determinant, a positive multiple,
 so its roots and signs are the same, and the event pipeline keys them
 with root_keys without building a Fraction. It is the one place the
-triple determinant is expanded, and the one place its discriminant is
-tested: the event pipeline asks it to drop the triples that are never
-collinear, and gets no tuple for them.
+triple determinant is expanded. Its discriminant c1**2 - 4*c2*c0 is
+computed twice, for two decisions: here, whether a triple is ever
+collinear, so that the event pipeline gets no tuple for one that is
+not; and in exact_numbers.root_keys, again for every yielded triple,
+whether its roots are double, rational or an irrational pair.
 
 Most of a never-collinear scene is dropped a whole pivot fan at a time,
 by one flat pass over the fan's entries. The difference u(t) = u0 + t*u1
@@ -189,13 +191,20 @@ def triple_polynomials(
     forms = [pt.homogeneous for pt in points]
     for i, (ax, ay, avx, avy, ad) in enumerate(forms):
         # loops, not comprehensions: a comprehension here closes over the
-        # pivot's integers and costs about 0.4 us per fan, which fans that
-        # fail the certificate pay twice (lower-bound-audit: every fan)
+        # pivot's integers, and cost a lower-bound-audit pass, whose fans
+        # all fail the certificate, 1.0% and no-collinearity's calls 1.5%
+        # (medians of 60-80 paired in-process passes)
         entries = []
         for bx, by, bvx, bvy, bd in forms[i + 1 :]:
             entries.append(
                 (bx * ad - ax * bd, bvx * ad - avx * bd, by * ad - ay * bd, bvy * ad - avy * bd)
             )
+        # the certificate made no-collinearity's op_ref.p50 58.5% lower
+        # (BENCH_27.json); 4-tuples for it, then 7-tuples only for a fan
+        # that fails it: one layout for both made no-collinearity 9.1%
+        # slower as 7-tuples built at once and 5.0% as 5-tuples with the
+        # sums formed per triple, and moved lower-bound-audit by -0.6% and
+        # +1.0% (medians of 60-80 paired in-process passes)
         if skip_never_collinear and len(entries) > 1 and _fan_never_collinear(entries):
             continue
         a, fan = points[i], []
@@ -206,6 +215,9 @@ def triple_polynomials(
                 c2 = ux1 * vy1 - uy1 * vx1
                 c0 = ux0 * vy0 - uy0 * vx0
                 c1 = uxs * vys - uys * vxs - c2 - c0
+                # a nonzero constant has no root: 400 of the 1,360 triples
+                # of a lower-bound-audit pass, which took 4.7% longer when
+                # they were yielded (median of 80 paired in-process passes)
                 if skip_never_collinear and (
                     c1 * c1 < 4 * c2 * c0 or (not c2 and not c1 and c0)
                 ):
@@ -234,20 +246,25 @@ def _fan_never_collinear(fan: list[tuple[int, int, int, int]]) -> bool:
     directions meet. Take the earliest t > 0 at which some pair meets:
     until then the cyclic order is the one at t = 0, and the entries
     inside the closing arc meet its ends at that t too, so an adjacent
-    pair meets there; the same holds for t < 0. Directions equal at t = 0
-    sort next to each other, and a double root has a zero discriminant,
-    so both fail the test. This is the neighbour argument of kinetic
-    sorted orders (Basch, Guibas and Hershberger 1999): the first swap is
-    always between neighbours. Two horizontal entries are a tie, so the
-    fan is not certified.
+    pair meets there; the same holds for t < 0. Directions equal at t = 0,
+    such as two horizontal entries, sort next to each other, and their
+    pair has c0 = cross(u0, v0) = 0, so a discriminant c1**2 >= 0; a
+    double root has a zero discriminant; so both fail the test. This is
+    the neighbour argument of kinetic sorted orders (Basch, Guibas and
+    Hershberger 1999): the first swap is always between neighbours.
     """
+    # the first pair first: without this test a lower-bound-audit pass
+    # took 2.2% longer, a tight-extremal pass 1.6% (its triple_polynomials
+    # calls 27.2%), and a no-collinearity pass, whose fans all pass, 3.0%
+    # less (medians of 60-80 paired in-process passes)
     (ux0, ux1, uy0, uy1), (vx0, vx1, vy0, vy1) = fan[:2]
     cross = ux0 * vy1 - uy0 * vx1 - ux1 * vy0 + uy1 * vx0
     if cross * cross >= 4 * (ux0 * uy1 - uy0 * ux1) * (vx0 * vy1 - vy0 * vx1):
         return False
     senses = [x0 * y1 - y0 * x1 for x0, x1, y0, y1 in fan]
-    if min(senses) <= 0 <= max(senses) or (ring := _angular_order(fan)) is None:
+    if min(senses) <= 0 <= max(senses):
         return False
+    ring = _angular_order(fan)
     j = ring[-1]
     for k in ring:
         (ux0, ux1, uy0, uy1), (vx0, vx1, vy0, vy1) = fan[j], fan[k]
@@ -258,23 +275,20 @@ def _fan_never_collinear(fan: list[tuple[int, int, int, int]]) -> bool:
     return True
 
 
-def _angular_order(fan: list[tuple[int, int, int, int]]) -> Optional[list[int]]:
+def _angular_order(fan: list[tuple[int, int, int, int]]) -> list[int]:
     """Indices of the fan entries (x0, x1, y0, y1) in the order of their
-    directions u0 = (x0, y0) at t = 0, mod pi, ties in index order; None
-    when two entries are horizontal.
+    directions u0 = (x0, y0) at t = 0, mod pi, ties in index order.
 
     The order is exact. With u0 taken into y > 0, or y = 0 with x > 0,
-    its angle is in [0, pi): a horizontal entry goes first (its key is
-    -inf, the one non-integer), and the rest sort by the integer key
-    floor(-x0/y0 * 2**S), which is the same for u0 and -u0, with
-    S = 2*max bit_length(y0) + 2. Two distinct directions (x, y) and
+    its angle is in [0, pi): the horizontal entries go first, next to one
+    another (their key is -inf, the one non-integer), and the rest sort
+    by the integer key floor(-x0/y0 * 2**S), which is the same for u0 and
+    -u0, with S = 2*max bit_length(y0) + 2. Two distinct directions (x, y) and
     (x', y') have cotangents at least 1/|y*y'| > 2**-S apart, so their
     keys differ, and equal directions get equal keys.
     """
     shift = 2 * max([abs(y0) for _, _, y0, _ in fan]).bit_length() + 2
     keys = [(-x0 << shift) // y0 if y0 else -math.inf for x0, _, y0, _ in fan]
-    if keys.count(-math.inf) > 1:
-        return None
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 

@@ -533,7 +533,8 @@ class TestRootKeys:
     )
     @settings(max_examples=100)
     def test_key_times_matches_make_on_batches(self, polys):
-        # duplicates and conjugate pairs share reductions inside one batch
+        # a batch with duplicates and conjugate pairs gives each key the
+        # times it gets alone; key_times reduces every pair key's radicand
         polys += polys[: len(polys) // 3]
         keys = [key for coeffs in polys for key in root_keys(*coeffs)[0]]
         assert key_times(keys) == [t for coeffs in polys for t in make_roots(*coeffs)[0]]
@@ -541,6 +542,26 @@ class TestRootKeys:
         # a pair key's two times stay in ascending order
         per_key = [key_times([key]) for key in keys]
         assert key_times(keys[::-1]) == [t for times in per_key[::-1] for t in times]
+
+    def test_repeated_radicand_in_one_batch(self, monkeypatch):
+        # 1 -+ sqrt(2), 3 -+ sqrt(2) and 1 -+ sqrt(1/2) share the radicand
+        # b_num*b_den = 2 under two values of a and two of b; each is
+        # reduced once per key, in key order, by one square_reduce_all call
+        keys = [(1, 1, 2, 1), (1, 3), (3, 1, 2, 1), (1, 1, 1, 2)]
+        calls = []
+        reduce_all = exact_numbers.square_reduce_all
+        monkeypatch.setattr(
+            exact_numbers, "square_reduce_all", lambda ns: calls.append(ns) or reduce_all(ns)
+        )
+        times = key_times(keys)
+        assert calls == [[2, 2, 2]]
+        assert times == [t for key in keys for t in key_times([key])]
+        assert times == [
+            AlgebraicTime.make(*form)
+            for form in [(1, -1, 2, 1), (1, 1, 2, 1), (1, 0, 0, 3), (3, -1, 2, 1), (3, 1, 2, 1)]
+            + [(2, -1, 2, 2), (2, 1, 2, 2)]
+        ]
+        assert_built_once(times)
 
     def test_square_discriminant_skips_square_reduce(self, monkeypatch):
         # key_times reduces the radicands of its pair keys, an empty batch
