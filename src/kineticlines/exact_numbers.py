@@ -93,13 +93,10 @@ def _sign(x) -> int:
 
 
 def _surd_sign(p: int, q: int, d: int) -> int:
-    """Exact sign of p + q*sqrt(d), for d not a perfect square when q != 0:
-    then p + q*sqrt(d) vanishes only when p == q == 0, and otherwise
-    p*p != q*q*d."""
-    sp, sq = _sign(p), _sign(q)
-    if sp * sq >= 0:
-        return sp or sq
-    return sp if p * p > q * q * d else sq
+    """Exact sign of p + q*sqrt(d), for q == 0 or d > 0 not a perfect
+    square: then p*p == q*q*d only when p == q == 0, and otherwise the
+    term of larger magnitude, p or q*sqrt(d), gives the sign."""
+    return _sign(p) if p * p > q * q * d else _sign(q)
 
 
 def _intervals(
@@ -161,7 +158,8 @@ def square_reduce_all(ns: Sequence[int]) -> list[tuple[int, int]]:
     """square_reduce of each n in ns, in order; ValueError if some n <= 0.
 
     The primes up to SQUAREFREE_TRIAL_BOUND are split out by gcds, then
-    _square_root tests whether the remaining cofactor is a perfect square.
+    _square_root tests whether the remaining cofactor is a perfect square,
+    as 1 is.
     A square factor built entirely from primes above the bound stays
     inside d, so d need not be squarefree. Canonical keys do not need it
     to be: they rest on reducing an integer that depends only on the
@@ -186,12 +184,11 @@ def square_reduce_all(ns: Sequence[int]) -> list[tuple[int, int]]:
             rest //= h
             m *= h
             g = math.gcd(rest, h)
-        if rest > 1:
-            root = _square_root(rest)
-            if root > 0:
-                m *= root
-            else:
-                d *= rest
+        root = _square_root(rest)
+        if root > 0:
+            m *= root
+        else:
+            d *= rest
         reduced.append((m, d))
     return reduced
 
@@ -319,15 +316,14 @@ class AlgebraicTime:
         a = p/r and b = q*q*d/(r*r) in lowest terms. b depends on the value
         alone, so two spellings of one value give the same a and b. b is a
         square exactly when b_num*b_den is one, m*m, and then sqrt(b) is
-        m/b_den and the value rational; otherwise the value is a time of
-        the pair key (a, b), which key_times builds.
+        m/b_den and the value rational, as when q*q*d == 0 makes b == 0;
+        otherwise the value is a time of the pair key (a, b), which
+        key_times builds.
         """
         if r == 0:
             raise ValueError("denominator r must be nonzero")
         if d < 0:
             raise ValueError("radicand must be nonnegative")
-        if q == 0 or d == 0:
-            return _rational(p, r)
         b_num, b_den = _lowest(q * q * d, r * r)
         sign = 1 if q * r > 0 else -1
         m = _square_root(b_num * b_den)
@@ -502,22 +498,17 @@ def _json_integer(value: object, name: str) -> int:
 def compare_times(x: AlgebraicTime, y: AlgebraicTime) -> int:
     """Total order on exact times: -1, 0, or 1 as x <, ==, > y.
 
-    The sign of x - y, scaled by x.r * y.r > 0, is the sign of
-    a + b*sqrt(dx) - c*sqrt(dy) with integer a, b, c. With one radicand,
-    or y rational, that is one surd; with x rational, likewise. Otherwise
-    u = a + b*sqrt(dx) and -c*sqrt(dy) either share a sign, which is the
-    answer, or the larger magnitude wins: sign(u) times the sign of
-    u*u - c*c*dy, again one surd over dx. Every stored radicand is a
-    non-square, so each surd sign is exact (_surd_sign), for any
-    spellings of the two values.
+    The sign of x - y, scaled by x.r * y.r > 0, is the sign of u + v with
+    u = a + b*sqrt(dx) and v = -c*sqrt(dy) for integer a, b, c. Either u
+    and v share a sign, which is the answer, or the larger magnitude wins:
+    sign(u) times the sign of u*u - c*c*dy, one surd over dx. A rational
+    has q == d == 0, so this holds for either time rational, and for any
+    spellings of the two values: every stored radicand is a non-square,
+    so each surd sign is exact (_surd_sign).
     """
     a = x.p * y.r - y.p * x.r
     b = x.q * y.r
     c = y.q * x.r
-    if y.q == 0 or x.d == y.d:
-        return _surd_sign(a, b - c, x.d)
-    if x.q == 0:
-        return _surd_sign(a, -c, y.d)
     su, sv = _surd_sign(a, b, x.d), -_sign(c)
     if su * sv >= 0:
         return su or sv

@@ -4,7 +4,7 @@ import importlib.util
 import math
 import random
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from itertools import combinations, product
 from pathlib import Path
 
@@ -1246,6 +1246,52 @@ class TestIrrationalLineScenes:
             if not any(_bf_poly(u, v, w))
         }
         assert always_collinear_groups(scene) == sorted(groups)
+
+
+def union_find_lines(roots):
+    """The lines of root records joined by union-find over all three point
+    pairs of each record, as sorted (member ids, triple count) tuples."""
+    parent = {}
+
+    def find(pair):
+        parent.setdefault(pair, pair)
+        while parent[pair] != pair:
+            parent[pair] = parent[parent[pair]]
+            pair = parent[pair]
+        return pair
+
+    for a, b, c, _ in roots:
+        ab, ac, bc = find((a.id, b.id)), find((a.id, c.id)), find((b.id, c.id))
+        parent[ac] = parent[bc] = ab
+    members, counts = {}, {}
+    for a, b, c, _ in roots:
+        line = find((a.id, b.id))
+        members.setdefault(line, set()).update((a.id, b.id, c.id))
+        counts[line] = counts.get(line, 0) + 1
+    return sorted((tuple(sorted(members[line])), counts[line]) for line in members)
+
+
+class TestComponents:
+    # _components looks up only a triple's pairs (a, b) and (a, c); a
+    # scene whose records ever needed (b, c), or that split one line, would
+    # differ here from a union-find over all three pairs
+    SCENES = {
+        **{f"degenerate{n}-{s}": partial(degenerate_scene, n, s) for n, s in DEGENERATE_DRAWS},
+        "cube3": partial(parameter_cube, 3),
+        "grid4x4": partial(kinetic_grid, 4, 4),
+        "grid6x8": partial(kinetic_grid, 6, 8),
+        **{f"line{s}": lambda s=s: irrational_line_scene(random.Random(s))[0] for s in range(20)},
+    }
+
+    @pytest.mark.parametrize("name", SCENES)
+    def test_matches_union_find_over_all_pairs(self, name):
+        buckets, always = kineticlines.events._buckets(self.SCENES[name]())
+        for roots in [roots for key, roots in buckets.items() if len(key) > 2] + [always]:
+            got = kineticlines.events._components(roots)
+            assert all(not tangential for _, tangential, _ in got)
+            assert sorted((tuple(sorted(ids)), count) for ids, _, count in got) == (
+                union_find_lines(roots)
+            )
 
 
 def assert_filtered_stream(points):

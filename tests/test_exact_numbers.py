@@ -6,7 +6,7 @@ import random
 import time
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -670,11 +670,13 @@ class TestCompareTimes:
         for index in (40, 50, 80, 200):
             for num, den in sqrt2_convergents(index)[-2:]:
                 c = AlgebraicTime.from_rational(F(num, den))
-                # consecutive convergents lie on both sides of sqrt(2)
+                # consecutive convergents lie on both sides of sqrt(2);
+                # negated, each lies on the other side of -sqrt(2)
                 expected = -1 if num * num > 2 * den * den else 1
-                assert reference_compare(rt2, c) == expected
-                assert compare_times(rt2, c) == expected
-                assert compare_times(c, rt2) == -expected
+                for x, y, want in ((rt2, c, expected), (-rt2, -c, -expected)):
+                    assert reference_compare(x, y) == want
+                    assert compare_times(x, y) == want
+                    assert compare_times(y, x) == -want
 
     def test_cross_radicand_near_ties(self):
         # 1 + sqrt(2) against sqrt(D)/10**k and sqrt(D + 1)/10**k, with
@@ -690,6 +692,44 @@ class TestCompareTimes:
                 assert reference_compare(one_plus_rt2, y) == expected
                 assert compare_times(one_plus_rt2, y) == expected
                 assert compare_times(y, one_plus_rt2) == -expected
+
+    @pytest.mark.parametrize("k", [10, 20, 40])
+    def test_same_radicand_near_ties(self, k):
+        # x = 3 + 5*sqrt(2) against x -+ (sqrt(2) - 1)**k, all in Z[sqrt(2)]:
+        # u = a + b*sqrt(2) and -c*sqrt(2) nearly cancel, with opposite signs
+        x = AlgebraicTime.make(3, 5, 2, 1)
+        e_p, e_q = pell_power(k)
+        for sign, expected in ((1, -1), (-1, 1)):
+            y = AlgebraicTime.make(3 + sign * e_p, 5 + sign * e_q, 2, 1)
+            assert y.d == x.d == 2
+            assert reference_compare(x, y) == expected
+            assert compare_times(x, y) == expected
+            assert compare_times(y, x) == -expected
+
+    @pytest.mark.parametrize("k", [10, 20, 40])
+    def test_spelled_radicand_near_ties(self, k):
+        # 3 + 5*sqrt(8) = 3 + 10*sqrt(2) spelled over 8, against the same
+        # value, and against it -+ (sqrt(2) - 1)**k spelled over 2
+        x = AlgebraicTime(3, 5, 8, 1)
+        e_p, e_q = pell_power(k)
+        for sign, expected in ((0, 0), (1, -1), (-1, 1)):
+            y = AlgebraicTime.make(3 + sign * e_p, 10 + sign * e_q, 2, 1)
+            assert y.d == 2
+            assert reference_compare(x, y) == expected
+            assert compare_times(x, y) == expected
+            assert compare_times(y, x) == -expected
+
+    @pytest.mark.parametrize("d", [2, 3, 12, 10**40 + 1])
+    def test_surd_sign_on_every_sign_pattern(self, d):
+        # p the floor and the ceiling of q*sqrt(d), so that p and
+        # q*sqrt(d) nearly cancel, and each of p, q negative, zero or positive
+        q = 10**6
+        for p in (math.isqrt(d * q * q), math.isqrt(d * q * q) + 1):
+            for sp, sq in product((-1, 0, 1), repeat=2):
+                got = exact_numbers._surd_sign(sp * p, sq * q, d)
+                assert got == isqrt_surd_sign(sp * p, sq * q, d)
+        assert exact_numbers._surd_sign(-7, 0, 0) == -1
+        assert exact_numbers._surd_sign(0, 0, 0) == 0
 
     def test_other_spellings_compare_equal(self):
         pairs = [
@@ -947,6 +987,26 @@ def sqrt2_convergents(count):
         num, den = out[-1]
         out.append((num + 2 * den, num + den))
     return out
+
+
+def pell_power(k):
+    """(a, b) with (sqrt(2) - 1)**k == a + b*sqrt(2), a positive number
+    below 2**-k that nearly cancels in Z[sqrt(2)]."""
+    a, b = 1, 0
+    for _ in range(k):
+        a, b = 2 * b - a, a - b
+    return a, b
+
+
+def isqrt_surd_sign(p, q, d):
+    """Sign of p + q*sqrt(d), for d > 0 not a perfect square, from
+    s = isqrt(q*q*d) < |q|*sqrt(d) < s + 1 when q != 0."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    s = math.isqrt(q * q * d)
+    if q > 0:
+        return 1 if -p <= s else -1
+    return 1 if p > s else -1
 
 
 def reference_compare(x, y, max_bits=1 << 13):
