@@ -371,13 +371,7 @@ def verify_tight_certificate(scene: Scene) -> TightCertificate:
         checked += 1
         at_plus = (c2 * _CERTIFICATE_T + c1) * _CERTIFICATE_T + c0
         at_minus = (c2 * _CERTIFICATE_T - c1) * _CERTIFICATE_T + c0
-        ok = (
-            c0 != 0
-            and (at_plus > 0) == (at_minus > 0) == (c0 < 0)
-            and at_plus != 0
-            and at_minus != 0
-        )
-        if not ok:
+        if not (c0 * at_plus < 0 and c0 * at_minus < 0):
             failing.append((a.id, b.id, c.id))
     return TightCertificate(
         passed=not failing,

@@ -38,28 +38,23 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .exact_numbers import (
     AlgebraicTime,
     RootKey,
-    compare_times,
     key_times,
     root_keys,
     solve_quadratic,
     time_order,
 )
-from .kinematics import (
-    KineticPoint,
-    Scene,
-    TimeLike,
-    triple_polynomials,
-    # unused here; bench/tracing.py wraps these module attributes
-    classify_triple,  # noqa: F401
-    position_at,  # noqa: F401
-)
+from .kinematics import KineticPoint, Scene, TimeLike, triple_polynomials
+
+# unused here; bench/tracing.py wraps these module attributes
+from .exact_numbers import compare_times  # noqa: F401
+from .kinematics import classify_triple, position_at  # noqa: F401
 
 __all__ = [
     "CollinearityEvent",
@@ -253,11 +248,11 @@ def _bucket_lines(key: RootKey, roots: Sequence[_Root]) -> _Lines:
         return _components(roots), None
     # integer positions at t = num/den over the one denominator
     # den*lcm(D), so that coincidence is tuple equality and a line has an
-    # integer key. _components does not serve here, as a pair can
-    # coincide at a rational t: with (p1, a, w) always collinear and v
-    # meeting p1 at t, the root triple (p1, v, w) has no distinct pair
-    # that an earlier triple has seen. Union-find over shared distinct
-    # pairs in place of the keys made a lower-bound-audit pass 35-40% slower
+    # integer key. _components cannot serve here: it joins a triple to a
+    # line through a shared pair, and at a rational t a pair can coincide
+    # and span no line. With (p1, a, w) always collinear and v meeting p1
+    # at t, the root triple (p1, v, w) has no distinct pair that an
+    # earlier triple has seen.
     num, den = key
     forms = {pt.id: pt.homogeneous for root in roots for pt in root[:3]}
     common = math.lcm(*(form[4] for form in forms.values()))
@@ -307,7 +302,8 @@ def _event_shapes(bucket: _Lines, k_min: int) -> list[_Shape]:
             )
             subcollision = len({positions[m] for m in members}) < len(members)
         shapes.append((members, anchors, tangential, subcollision))
-    shapes.sort(key=lambda shape: shape[0])
+    # member tuples are distinct within a bucket, so they alone decide
+    shapes.sort()
     return shapes
 
 
@@ -427,7 +423,7 @@ def audit_bounds(scene: Scene, k: int) -> BoundAudit:
             incidences += count
     n = len(scene)
     bound_3 = 2 * math.comb(n, 3)
-    bound_k = (2 * math.comb(n, 3)) // math.comb(k, 3)
+    bound_k = bound_3 // math.comb(k, 3)
     # a group exists exactly when some triple is always collinear
     no_three_always = not always
     passed = count_3 <= bound_3 and (not no_three_always or count_k <= bound_k)
@@ -449,45 +445,28 @@ def audit_bounds(scene: Scene, k: int) -> BoundAudit:
 # Everything below re-derives events without touching the enumeration path
 # above or the kinematics helpers: triple polynomials come from orientation
 # samples at three times, positions and orientations are recomputed locally,
+# each triple's polynomial and roots are found once, under its sorted ids,
 # and member sets are grown from anchor pairs per candidate time.
 
 
-def _event_order(e1: CollinearityEvent, e2: CollinearityEvent) -> int:
-    c = compare_times(e1.time, e2.time)
-    if c:
-        return c
-    if e1.members == e2.members:
-        return 0
-    return -1 if e1.members < e2.members else 1
+def _bf_position(p: KineticPoint, t: TimeLike) -> tuple[TimeLike, TimeLike]:
+    return (t * p.vel[0] + p.pos[0], t * p.vel[1] + p.pos[1])
 
 
-def _bf_static_orientation(
-    a: KineticPoint, b: KineticPoint, c: KineticPoint, t: Fraction
-) -> Fraction:
-    ax, ay = a.pos[0] + t * a.vel[0], a.pos[1] + t * a.vel[1]
-    bx, by = b.pos[0] + t * b.vel[0], b.pos[1] + t * b.vel[1]
-    cx, cy = c.pos[0] + t * c.vel[0], c.pos[1] + t * c.vel[1]
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+def _bf_orientation(pa, pb, pc) -> TimeLike:
+    return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
 
 
 def _bf_poly(
     a: KineticPoint, b: KineticPoint, c: KineticPoint
 ) -> tuple[Fraction, Fraction, Fraction]:
     # degree <= 2, so values at t = -1, 0, 1 pin the polynomial down
-    f_minus = _bf_static_orientation(a, b, c, Fraction(-1))
-    f_zero = _bf_static_orientation(a, b, c, Fraction(0))
-    f_plus = _bf_static_orientation(a, b, c, Fraction(1))
+    f_minus, f_zero, f_plus = (
+        _bf_orientation(*(_bf_position(p, Fraction(t)) for p in (a, b, c))) for t in (-1, 0, 1)
+    )
     c2 = (f_plus + f_minus) / 2 - f_zero
     c1 = (f_plus - f_minus) / 2
     return (c2, c1, f_zero)
-
-
-def _bf_position(p: KineticPoint, t: AlgebraicTime) -> tuple[AlgebraicTime, AlgebraicTime]:
-    return (t * p.vel[0] + p.pos[0], t * p.vel[1] + p.pos[1])
-
-
-def _bf_orientation(pa, pb, pc) -> AlgebraicTime:
-    return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
 
 
 # the largest scene brute_force_events takes unless its caller raises the cap
@@ -510,32 +489,26 @@ def brute_force_events(
     if n > max_points:
         raise ValueError(f"scene has {n} points; the oracle cap is {max_points}")
 
-    polys: dict[tuple[str, str, str], tuple[Fraction, Fraction, Fraction]] = {}
-    reports: dict[tuple[str, str, str], object] = {}
+    # both keyed by a triple's ids in sorted order, as combinations of
+    # sorted ids yield them
+    @cache
+    def poly_of(trio: tuple[str, str, str]) -> tuple[Fraction, Fraction, Fraction]:
+        return _bf_poly(*map(scene.point, trio))
 
-    def poly_of(pts: Sequence[KineticPoint]):
-        key = tuple(sorted(p.id for p in pts))
-        if key not in polys:
-            ordered = sorted(pts, key=lambda p: p.id)
-            polys[key] = _bf_poly(*ordered)
-        return polys[key]
-
-    def report_of(pts: Sequence[KineticPoint]):
-        key = tuple(sorted(p.id for p in pts))
-        if key not in reports:
-            reports[key] = solve_quadratic(*poly_of(pts))
-        return reports[key]
+    @cache
+    def report_of(trio: tuple[str, str, str]):
+        return solve_quadratic(*poly_of(trio))
 
     times: set[AlgebraicTime] = set()
     if time_candidates is None:
-        for trio in combinations(scene.points, 3):
+        for trio in combinations(sorted(p.id for p in scene.points), 3):
             times.update(report_of(trio).roots)
     else:
         for t in time_candidates:
             times.add(
                 AlgebraicTime.make(t.p, t.q, t.d, t.r)
                 if isinstance(t, AlgebraicTime)
-                else AlgebraicTime.from_rational(Fraction(t))
+                else AlgebraicTime.from_rational(t)
             )
 
     events: list[CollinearityEvent] = []
@@ -556,26 +529,17 @@ def brute_force_events(
             if len(members) < 3 or members in seen:
                 continue
             seen.add(members)
-            member_points = [scene.point(m) for m in members]
-            if all(
-                poly_of(trio) == (0, 0, 0)
-                for trio in combinations(member_points, 3)
-            ):
+            if all(poly_of(trio) == (0, 0, 0) for trio in combinations(members, 3)):
                 continue
-            anchors = None
-            for u, v in combinations(members, 2):
-                if positions[u] != positions[v]:
-                    anchors = (u, v)
-                    break
-            assert anchors is not None
-            distinct = len({positions[m] for m in members})
-            tangential = False
-            for trio in combinations(member_points, 3):
-                report = report_of(trio)
-                if report.double_root and report.roots == (t,):
-                    if len({positions[p.id] for p in trio}) > 1:
-                        tangential = True
-                        break
+            anchors = next(
+                (u, v) for u, v in combinations(members, 2) if positions[u] != positions[v]
+            )
+            tangential = any(
+                (report := report_of(trio)).double_root
+                and report.roots == (t,)
+                and len({positions[m] for m in trio}) > 1
+                for trio in combinations(members, 3)
+            )
             events.append(
                 CollinearityEvent(
                     time=t,
@@ -583,7 +547,8 @@ def brute_force_events(
                     k=len(members),
                     anchors=anchors,
                     tangential=tangential,
-                    contains_subcollision=distinct < len(members),
+                    contains_subcollision=len({positions[m] for m in members}) < len(members),
                 )
             )
-    return sorted(events, key=cmp_to_key(_event_order))
+    # every time here is canonical, so == on times is equality of values
+    return sorted(events, key=lambda e: (e.time, e.members))

@@ -262,9 +262,9 @@ class AlgebraicTime:
     (a, b): make hands its value's key to key_times, as root_keys' keys
     are. The key depends on the value alone, so equal values are equal
     objects with equal hashes, which the oracle's set of candidate times
-    and render's == on event times rely on; event bucketing keys roots by
-    root_keys and hashes no time. test_equal_values_share_canonical_key
-    tests this invariant.
+    and its sort key, and render's == on event times, rely on; event
+    bucketing keys roots by root_keys and hashes no time.
+    test_equal_values_share_canonical_key tests this invariant.
 
     Every constructor checks the canonical form (_check_canonical) except
     key_times, whose forms hold by construction: a rational key is a
@@ -446,7 +446,7 @@ class AlgebraicTime:
 
     def __str__(self) -> str:
         if self.q == 0:
-            return rational_str(Fraction(self.p, self.r))
+            return f"{self.p}/{self.r}"
         return f"({self.p}{self.q:+d}*sqrt({self.d}))/{self.r}"
 
     def to_json(self) -> dict:

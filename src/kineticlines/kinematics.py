@@ -11,7 +11,7 @@ common denominator of its four coordinates, computed once per point.
 triple_polynomials expands the determinant over these integers in pivot
 fans: for each pivot a, the difference b - a to each later point is
 computed once, over D_a*D_b, as the four-integer entry (x0, x1, y0, y1),
-and a triple (a, b, c) is six products of two stored differences. That
+and a triple (a, b, c) is eight products of two stored differences. That
 is D_a**2*D_b*D_c times the rational determinant, a positive multiple,
 so its roots and signs are the same, and the event pipeline keys them
 with root_keys without building a Fraction. It is the one place the
@@ -32,9 +32,8 @@ at resolution 2**-S with S = 2*max bit_length(y) + 2, which separates
 any two distinct directions, and tests only its m cyclically adjacent
 pairs: as in a kinetic sorted order (Basch, Guibas and Hershberger
 1999), the first pair to meet is a pair of neighbours. Only a fan that
-fails goes on to the triple loop, and only then are its entries
-extended to 7-tuples with the point and the sums x0 + x1 and y0 + y1.
-So a scene with no collinearity, such as the circle families, costs
+fails goes on to the triple loop, which reads the same entries. So a
+scene with no collinearity, such as the circle families, costs
 about n**2 log n instead of n**3/6 triple expansions.
 
 collinearity_polynomial is its one-triple case over Fraction,
@@ -181,12 +180,12 @@ def triple_polynomials(
     that no two entries are ever collinear with the pivot; a certified
     pivot yields nothing and its C(m, 2) triples are never expanded.
 
-    Only a fan that reaches the triple loop is extended to the 7-tuples
-    (b, x0, x1, y0, y1, x0 + x1, y0 + y1). A triple's entries u and v give
-    c2 = cross(u1, v1), c0 = cross(u0, v0) and c1 = cross(u0 + u1,
-    v0 + v1) - c2 - c0: six products, and the degree never exceeds 2. A
-    negative discriminant means no real root, and a nonzero constant none
-    either, so such a triple is skipped before a tuple is built.
+    The triple loop reads the same entries, each zipped with its point. A
+    triple's entries u and v give c2 = cross(u1, v1), c1 = cross(u0, v1)
+    + cross(u1, v0) and c0 = cross(u0, v0): eight products, and the degree
+    never exceeds 2. A negative discriminant means no real root, and a
+    nonzero constant none either, so such a triple is skipped before a
+    tuple is built.
     """
     forms = [pt.homogeneous for pt in points]
     for i, (ax, ay, avx, avy, ad) in enumerate(forms):
@@ -200,21 +199,15 @@ def triple_polynomials(
                 (bx * ad - ax * bd, bvx * ad - avx * bd, by * ad - ay * bd, bvy * ad - avy * bd)
             )
         # the certificate made no-collinearity's op_ref.p50 58.5% lower
-        # (BENCH_27.json); 4-tuples for it, then 7-tuples only for a fan
-        # that fails it: one layout for both made no-collinearity 9.1%
-        # slower as 7-tuples built at once and 5.0% as 5-tuples with the
-        # sums formed per triple, and moved lower-bound-audit by -0.6% and
-        # +1.0% (medians of 60-80 paired in-process passes)
+        # (BENCH_27.json)
         if skip_never_collinear and len(entries) > 1 and _fan_never_collinear(entries):
             continue
-        a, fan = points[i], []
-        for b, (x0, x1, y0, y1) in zip(points[i + 1 :], entries):
-            fan.append((b, x0, x1, y0, y1, x0 + x1, y0 + y1))
-        for j, (b, ux0, ux1, uy0, uy1, uxs, uys) in enumerate(fan):
-            for c, vx0, vx1, vy0, vy1, vxs, vys in fan[j + 1 :]:
+        a, fan = points[i], list(zip(points[i + 1 :], entries))
+        for j, (b, (ux0, ux1, uy0, uy1)) in enumerate(fan):
+            for c, (vx0, vx1, vy0, vy1) in fan[j + 1 :]:
                 c2 = ux1 * vy1 - uy1 * vx1
+                c1 = ux0 * vy1 - uy0 * vx1 + ux1 * vy0 - uy1 * vx0
                 c0 = ux0 * vy0 - uy0 * vx0
-                c1 = uxs * vys - uys * vxs - c2 - c0
                 # a nonzero constant has no root: 400 of the 1,360 triples
                 # of a lower-bound-audit pass, which took 4.7% longer when
                 # they were yielded (median of 80 paired in-process passes)

@@ -789,6 +789,12 @@ class TestBruteForceOracle:
         at_zero = brute_force_events(scene, time_candidates=[0], max_points=16)
         assert len(at_zero) == 16
         assert all(e.time.as_fraction() == 0 and e.k == 4 for e in at_zero)
+        # points listed against id order: the 16 events at one time come
+        # out in member order only through the tie-break of the sort
+        backwards = Scene(scene.points[::-1], scene.meta)
+        assert serialized(
+            brute_force_events(backwards, time_candidates=[0], max_points=16)
+        ) == serialized([e for e in enumerate_events(backwards) if e.time.as_fraction() == 0])
 
     def test_time_candidates_canonicalised(self):
         # the triple polynomial is t^2 - 12; sqrt(12) and 2*sqrt(3) are
