@@ -408,9 +408,9 @@ def audit_bounds(scene: Scene, k: int) -> BoundAudit:
     for key, roots in buckets.items():
         times = len(key) // 2
         # a simple root: one line of its three points (see _bucket_lines),
-        # as in 119 of the 155 buckets of a lower-bound-audit pass, whose
-        # op_ref.p50 was 18.9% worse through _bucket_lines (median of 10
-        # alternating runs)
+        # as in 119 of the 155 buckets of a lower-bound-audit pass, which
+        # took 17.9% and 16.8% longer through _bucket_lines at seeds 1 and
+        # 2 (medians of 80 paired in-process passes, 0 and 5 faster)
         if len(roots) == 1 and not roots[0][3]:
             count_3 += times
             count_k += times * (k == 3)

@@ -622,8 +622,8 @@ def root_keys(c2: int, c1: int, c0: int) -> tuple[tuple[RootKey, ...], bool, boo
 
 # AlgebraicTime's slot writers: no frozen __setattr__, no __post_init__.
 # Kept for random-scenes and tight-extremal, whose every time key_times
-# builds: with the checked constructor their op_ref.p50 was 5.1% and
-# 10.0% worse (medians of 10 alternating runs).
+# builds: with the checked constructor a pass of each took 7.0% and 9.9%
+# longer (medians of 60 paired in-process passes, 8 and 2 faster).
 _SLOT_SETTERS = tuple(
     getattr(AlgebraicTime, name).__set__ for name in ("p", "q", "d", "r", "_lo64", "_span64")
 )

@@ -199,7 +199,12 @@ def triple_polynomials(
                 (bx * ad - ax * bd, bvx * ad - avx * bd, by * ad - ay * bd, bvy * ad - avy * bd)
             )
         # the certificate made no-collinearity's op_ref.p50 58.5% lower
-        # (BENCH_27.json)
+        # (BENCH_27.json). The triple loop reads the same entries, eight
+        # products a triple. 7-tuples with the sums took six, but their
+        # win (BENCH_23.json) was on no-collinearity fans, which the
+        # certificate now drops before this loop: they made this call
+        # 7-15% faster and no workload's pass (medians of 60 paired calls
+        # and of 80 paired in-process passes)
         if skip_never_collinear and len(entries) > 1 and _fan_never_collinear(entries):
             continue
         a, fan = points[i], list(zip(points[i + 1 :], entries))
