@@ -22,7 +22,8 @@ irrational buckets and always_collinear_groups.
 enumerate_events alone builds events: the times of the kept buckets from
 one exact_numbers.key_times call, each kept bucket's event shapes
 (members, anchors and flags, with no time) found once before the walk
-over times, the walk's order from time_order, and at each time one event
+over times, the walk's order from time_order (the carried bounds, with
+an exact comparison only where two overlap), and at each time one event
 per shape of its bucket.
 audit_bounds and count_k_collinearities stop at lines and count a pair
 bucket's twice, with no time built, no radicand reduced, no sort and no
@@ -313,7 +314,8 @@ def enumerate_events(scene: Scene, k_min: int = 3) -> list[CollinearityEvent]:
 
     The kept buckets of _buckets become their AlgebraicTimes in one
     key_times call, a pair key giving its two, and time_order orders the
-    times by index, by the bounds key_times built, with no time hashed.
+    times by index, by the bounds key_times built, comparing two times
+    exactly only where their bounds overlap, with no time hashed.
     Each kept bucket's event shapes (_event_shapes) are found once,
     before the walk over times, and listed once per time of the bucket,
     in key_times' order, so a pair key's two times share one list; a

@@ -5,7 +5,8 @@ element (p + q*sqrt(d))/r of a real quadratic field, held in a canonical
 integer form. Equality is a structural comparison of canonical forms.
 Order is the exact sign of a difference, found from integer products
 alone, so comparisons never touch floating point; time_order orders
-many times at once.
+many times by their 64-bit bounds and compares two exactly only where
+neighbouring bounds overlap.
 """
 
 from __future__ import annotations
@@ -291,12 +292,13 @@ class AlgebraicTime:
 
     # lo and hi - lo of the value's 64-bit bounds, as _bounds(64) gives
     # them: key_times sets both, from its key's one _intervals call, and
-    # every other constructor neither; time_order sorts by lo, approx
-    # reads both. Without them a random-scenes pass took 6.3% longer and
-    # a tight-extremal pass 4.2% (medians of 60 paired in-process
-    # passes). One (lo, hi) tuple in their place was 1-2% faster, but
-    # raised random-scenes' peak_rss_mb from 25.48 to 26.09 MiB
-    # (bench/run.py --seconds 4, two runs per side).
+    # every other constructor neither; time_order sorts by lo and checks
+    # each hi against the next lo, and approx reads both. Without them a
+    # random-scenes pass took 6.3% longer and a tight-extremal pass 4.2%
+    # (medians of 60 paired in-process passes). One (lo, hi) tuple in
+    # their place was 1-2% faster, but raised random-scenes' peak_rss_mb
+    # from 25.48 to 26.09 MiB (bench/run.py --seconds 4, two runs per
+    # side).
     _lo64: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     _span64: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -518,28 +520,29 @@ def compare_times(x: AlgebraicTime, y: AlgebraicTime) -> int:
 def time_order(times: Sequence[AlgebraicTime]) -> list[int]:
     """The indices of times in exact ascending order of their times.
 
-    Each time has its 64-bit interval bounds: the ones a time from
-    key_times carries, computed here for any other time. The indices are
-    sorted by lo alone, and a sweep cuts them into runs: an interval joins
-    the current run when its lo is at most the largest hi in it. Equal
-    lo's, in whatever order, land in one run, and every value of a run
-    lies below the next run's first lo, so runs are ordered by the bounds
-    alone; compare_times, through AlgebraicTime.__lt__, orders each run
-    exactly.
+    Each time has its 64-bit interval bounds lo <= value * 2**64 <= hi:
+    the ones a time from key_times carries, computed here for any other
+    time. The result is the indices sorted by lo, then stable-sorted by
+    value, and one pass over neighbours decides whether the second sort
+    is needed:
+
+    - No overlap. If each interval ends below the next one's lo, the
+      intervals are pairwise disjoint, so the lo order is already the
+      exact order.
+    - Some overlap. Then compare_times, through AlgebraicTime.__lt__,
+      stable-sorts the whole lo order. Sorting each maximal run of
+      overlapping intervals alone gives the same list: a time in one run
+      is strictly below every time in the next, and two equal values
+      always share a run, since both intervals contain that value. Equal
+      values under different spellings keep their lo order either way.
+    - Cost. The lo order is out of exact order only among overlapping
+      intervals, so Timsort takes about len(times) comparisons.
     """
     bounds = [t._bounds64() for t in times]
-    lows = [lo for lo, _ in bounds]
-    runs: list[list[int]] = []
-    run_hi = 0
-    for i in sorted(range(len(times)), key=lows.__getitem__):
-        lo, hi = bounds[i]
-        if runs and lo <= run_hi:
-            runs[-1].append(i)
-            run_hi = max(run_hi, hi)
-        else:
-            runs.append([i])
-            run_hi = hi
-    return [i for run in runs for i in sorted(run, key=times.__getitem__)]
+    order = sorted(range(len(times)), key=[lo for lo, _ in bounds].__getitem__)
+    if any(bounds[i][1] >= bounds[j][0] for i, j in zip(order, order[1:])):
+        order.sort(key=times.__getitem__)
+    return order
 
 
 @dataclass(frozen=True)
@@ -632,7 +635,7 @@ _SLOT_SETTERS = tuple(
 def key_times(keys: Sequence[RootKey]) -> list[AlgebraicTime]:
     """The canonical AlgebraicTimes of root_keys keys, in order, a pair
     key's two ascending, each carrying the 64-bit bounds that time_order
-    sorts by and approx reads.
+    sorts and checks by and approx reads.
 
     A rational key (num, den) is the time num/den. A pair key gives
     a -+ sqrt(b) = (a_num*b_den -+ m*a_den*sqrt(d))/(a_den*b_den) with

@@ -836,6 +836,29 @@ class TestBruteForceOracle:
             enumerate_events(scene)
         )
 
+    def test_overlapping_bounds_ordered_exactly(self):
+        # c crosses y = 0, the line of a and b, at the sqrt(2) convergent
+        # 26102926097/18457556052, above sqrt(2) by less than 2**-69; d, e
+        # and f have determinant 2 - t^2, collinear at -+sqrt(2). The two
+        # times share their 64-bit bounds, so only compare_times orders them
+        p, q = 26102926097, 18457556052
+        scene = make_scene(
+            ("a", (0, 0), (0, 0)),
+            ("b", (1, 0), (0, 0)),
+            ("c", (0, -p), (1, q)),
+            ("d", (100, 100), (0, 0)),
+            ("e", (101, 100), (0, 1)),
+            ("f", (100, 102), (1, 0)),
+        )
+        events = enumerate_events(scene)
+        at = {e.members: e.time for e in events if e.time.sign() > 0}
+        convergent, root = at[("a", "b", "c")], at[("d", "e", "f")]
+        assert convergent.as_fraction() == F(p, q) and root == AlgebraicTime(0, 1, 2, 1)
+        (lo_c, hi_c), (lo_r, hi_r) = convergent._bounds64(), root._bounds64()
+        assert lo_c <= hi_r and lo_r <= hi_c
+        assert all(compare_times(x.time, y.time) <= 0 for x, y in zip(events, events[1:]))
+        assert_oracle_agrees(scene)
+
 
 def meeting_scene():
     """a, b, c and d meet at (1, 1) at t=2, where the lines to e, to f and

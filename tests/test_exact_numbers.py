@@ -770,6 +770,40 @@ class TestSortedTimes:
             assert got == sorted(times, key=cmp_to_key(compare_times))
             assert all(reference_compare(x, y) <= 0 for x, y in zip(got, got[1:]))
 
+    def test_bounds_alone_then_planted_overlaps_at_scale(self, monkeypatch):
+        # about 2,000 roots of random quadratics: their bounds are pairwise
+        # disjoint, so time_order orders them with no exact comparison
+        rng = random.Random(37)
+        keys = []
+        while len(keys) < 1000:
+            keys += root_keys(*(rng.randint(-(10**6), 10**6) for _ in range(3)))[0]
+        times = key_times(keys)
+        bounds = sorted(t._bounds64() for t in times)
+        assert all(hi < lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        want = sorted(times, key=cmp_to_key(compare_times))
+
+        def refuse(x, y):
+            raise AssertionError("compare_times called on disjoint bounds")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(exact_numbers, "compare_times", refuse)
+            assert [times[i] for i in time_order(times)] == want
+        # for these d, 2*sqrt(d) lies less than half a unit above its lo:
+        # the dyadic rational half a unit above that lo is larger, shares
+        # the lo and ends a unit lower, so listed first it comes first in
+        # the lo order and only the exact sort moves it; a neighbour test
+        # of hi against the next hi would miss these overlaps
+        planted = []
+        for d in (3, 17, 21):
+            root = key_times([(0, 1, 4 * d, 1)])[1]
+            lo, hi = root._bounds64()
+            above = key_times([(2 * lo + 1, 2**65)])[0]
+            assert above._bounds64() == (lo, lo + 1) and hi == lo + 2 and root < above
+            planted += [above, root]
+        mixed = times[:1000] + planted + times[1000:]
+        got = [mixed[i] for i in time_order(mixed)]
+        assert got == sorted(mixed, key=cmp_to_key(compare_times))
+
 
 class TestTrustedConstruction:
     @pytest.mark.parametrize(
